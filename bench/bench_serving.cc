@@ -3,9 +3,8 @@
 //
 // Saturation bench for the multi-tenant serving catalog: reader QPS
 // against shard count, with and without a concurrent writer republishing
-// snapshots under the readers, plus the async batch front's end-to-end
-// throughput. Emits JSON so the serving perf trajectory is tracked across
-// PRs:
+// snapshots under the readers. Emits JSON so the serving perf trajectory
+// is tracked across PRs:
 //
 //   ./bench_serving [--smoke] [output.json]   (default BENCH_serving.json)
 //
@@ -39,12 +38,10 @@
 #include "data/generator.h"
 #include "estimator/synopsis.h"
 #include "query/parser.h"
-#include "serving/batch_front.h"
 #include "serving/catalog.h"
 #include "serving/snapshot.h"
 #include "storage/mapped.h"
 #include "verify/verify.h"
-#include "xmlsel/thread_pool.h"
 
 namespace xmlsel {
 namespace {
@@ -58,7 +55,6 @@ struct Fixture {
   std::shared_ptr<const Synopsis> version_a;  // kappa = 0 (exact)
   std::shared_ptr<const Synopsis> version_b;  // kappa = 1 << 20 (lossy)
   std::vector<Query> queries;
-  std::vector<std::string> xpaths;  // same workload, string front form
 
   static Fixture Make(int64_t elements) {
     Document doc = GenerateDataset(DatasetId::kDblp, elements, 3);
@@ -78,7 +74,6 @@ struct Fixture {
       Result<Query> q = ParseQuery(text, &names);
       XMLSEL_CHECK(q.ok());
       f.queries.push_back(std::move(q).value());
-      f.xpaths.emplace_back(text);
     }
     return f;
   }
@@ -290,50 +285,6 @@ BudgetResult RunBudget(const Fixture& f, int64_t budget, int32_t readers,
   return out;
 }
 
-/// End-to-end throughput of the async batch front (string parsing, lane
-/// affinity, futures) over the largest catalog, one submitter.
-struct FrontResult {
-  double seconds = 0.0;
-  double qps = 0.0;
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t rejected = 0;
-  int32_t lanes = 0;
-};
-
-FrontResult RunFront(const Fixture& f, int32_t shards, int32_t batches) {
-  ServingCatalog catalog(shards);
-  for (int32_t t = 0; t < kTenants; ++t) {
-    catalog.PublishSynopsis(TenantName(t), f.version_a);
-  }
-  ThreadPool pool(DefaultThreadCount());
-  ServingFront front(&catalog, &pool, {});
-
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<BatchFuture> futures;
-  futures.reserve(static_cast<size_t>(batches));
-  for (int32_t i = 0; i < batches; ++i) {
-    Result<BatchFuture> fut =
-        front.Submit(TenantName(i % kTenants), f.xpaths);
-    XMLSEL_CHECK(fut.ok());
-    futures.push_back(std::move(fut).value());
-  }
-  for (const BatchFuture& fut : futures) {
-    Result<BatchOutcome> out = fut.Wait();
-    XMLSEL_CHECK(out.ok());
-  }
-  FrontResult r;
-  r.seconds = SecondsSince(t0);
-  r.qps = static_cast<double>(batches) *
-          static_cast<double>(f.xpaths.size()) / r.seconds;
-  FrontStats stats = front.Stats();
-  r.submitted = stats.submitted;
-  r.completed = stats.completed;
-  r.rejected = stats.rejected;
-  r.lanes = front.lane_count();
-  return r;
-}
-
 int Run(bool smoke, const char* out_path) {
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -345,7 +296,6 @@ int Run(bool smoke, const char* out_path) {
   const int32_t batches_per_reader = smoke ? 30 : 200;
   const std::vector<int32_t> shard_sweep =
       smoke ? std::vector<int32_t>{1, 4} : std::vector<int32_t>{1, 2, 4, 8};
-  const int32_t front_batches = smoke ? 32 : 256;
 
   std::printf("building dblp fixture: %lld elements, %d tenants...\n",
               static_cast<long long>(elements), kTenants);
@@ -366,10 +316,6 @@ int Run(bool smoke, const char* out_path) {
       runs.push_back(r);
     }
   }
-  FrontResult front = RunFront(fixture, shard_sweep.back(), front_batches);
-  std::printf("front: %d lanes  %.3fs  %.0f q/s  (%lld batches)\n",
-              front.lanes, front.seconds, front.qps,
-              static_cast<long long>(front.completed));
 
   // Byte-budget case: the same workload over N independent mapped images,
   // first unbounded (baseline residency + qps), then with a catalog-wide
@@ -475,15 +421,6 @@ int Run(bool smoke, const char* out_path) {
   std::fprintf(f, "    \"qps_factor\": %.3f,\n", qps_factor);
   std::fprintf(f, "    \"within_budget\": %s\n",
                bounded.within_budget ? "true" : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"front\": {\n");
-  std::fprintf(f, "    \"lanes\": %d,\n", front.lanes);
-  std::fprintf(f, "    \"batches\": %lld,\n",
-               static_cast<long long>(front.completed));
-  std::fprintf(f, "    \"seconds\": %.4f,\n", front.seconds);
-  std::fprintf(f, "    \"qps\": %.1f,\n", front.qps);
-  std::fprintf(f, "    \"rejected\": %lld\n",
-               static_cast<long long>(front.rejected));
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"gates\": {\n");
   std::fprintf(f, "    \"reader_locks_zero\": %s,\n",

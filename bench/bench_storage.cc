@@ -20,17 +20,10 @@
 //     crossover: how many warm queries the eager path would need to
 //     amortize its upfront decode (negative = mapped is never overtaken).
 //
-// A fourth scenario, `direct`, serves the same image in packed-direct
-// mode: the counting automaton walks the rule bit-streams in place, so
-// the shared decode cache stays empty for the whole run. The JSON's
-// `packed_direct` section records its cold start, warm per-query cost,
-// and the queries-until-parity crossover against the decode-cache path.
-//
 // --smoke shrinks the fixtures and additionally *gates* the structural
 // claims CI relies on: lazily decoded rules stay strictly below the
-// image's rule total, the packed-direct run finishes with zero decoded
-// rules, and corrupted images are rejected at open (truncation, bad
-// magic, payload bit-flips).
+// image's rule total, and corrupted images are rejected at open
+// (truncation, bad magic, payload bit-flips).
 
 #include <unistd.h>
 
@@ -47,8 +40,9 @@
 #include "bench_env.h"
 #include "data/generator.h"
 #include "estimator/estimator.h"
-#include "estimator/mapped_estimator.h"
 #include "estimator/synopsis.h"
+#include "query/parser.h"
+#include "serving/snapshot.h"
 #include "storage/dynamic_store.h"
 #include "storage/mapped.h"
 #include "storage/packed.h"
@@ -135,14 +129,23 @@ int RunMappedScenario(const char* path, int warm_reps) {
   Clock::time_point t0 = Clock::now();
   MappedOpenOptions options;
   options.verify_checksum = false;
-  Result<MappedEstimator> est = MappedEstimator::Open(path, options);
-  if (!est.ok()) {
-    std::fprintf(stderr, "%s\n", est.status().ToString().c_str());
+  Result<std::unique_ptr<MappedSynopsis>> opened =
+      MappedSynopsis::Open(path, options);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
     return 1;
   }
+  std::shared_ptr<const ServingSnapshot> snapshot = ServingSnapshot::FromMapped(
+      std::shared_ptr<const MappedSynopsis>(std::move(opened).value()), 1);
+  NameTable names = snapshot->base_names();
+  auto estimate = [&](const char* xpath) {
+    Result<Query> parsed = ParseQuery(xpath, &names);
+    XMLSEL_CHECK(parsed.ok());
+    return EstimateOnSnapshot(*snapshot, parsed.value());
+  };
   r.open_seconds = SecondsSince(t0);
   t0 = Clock::now();
-  Result<SelectivityEstimate> first = est.value().Estimate(kServingQueries[0]);
+  Result<SelectivityEstimate> first = estimate(kServingQueries[0]);
   r.first_query_seconds = SecondsSince(t0);
   XMLSEL_CHECK(first.ok());
   r.first_lower = first.value().lower;
@@ -150,55 +153,13 @@ int RunMappedScenario(const char* path, int warm_reps) {
   t0 = Clock::now();
   for (int rep = 0; rep < warm_reps; ++rep) {
     for (const char* q : kServingQueries) {
-      XMLSEL_CHECK(est.value().Estimate(q).ok());
+      XMLSEL_CHECK(estimate(q).ok());
     }
   }
   r.warm_query_seconds = SecondsSince(t0) /
       (static_cast<double>(warm_reps) * kServingQueryCount);
-  const MappedSynopsis& image = est.value().image();
-  r.decoded_rules = image.lossy_layer().cache_stats().decoded_rules +
-                    image.lossless_layer().cache_stats().decoded_rules;
-  r.total_rules = image.lossy_layer().rule_count() +
-                  image.lossless_layer().rule_count();
-  r.vm_hwm_bytes = VmHwmBytes();
-  r.rss_delta_bytes = r.vm_hwm_bytes - entry_rss;
-  return PrintScenario(r);
-}
-
-/// Child scenario: packed-direct — the counting automaton runs straight
-/// over the mmap'd bits through per-call cursors; the image's shared
-/// decode cache is never populated (decoded_rules stays 0 for the whole
-/// run, the cold-start headline of the packed-direct path).
-int RunDirectScenario(const char* path, int warm_reps) {
-  ScenarioResult r;
-  int64_t entry_rss = StatmRssBytes();
-  Clock::time_point t0 = Clock::now();
-  MappedOpenOptions options;
-  options.verify_checksum = false;
-  Result<MappedEstimator> est = MappedEstimator::Open(path, options);
-  if (!est.ok()) {
-    std::fprintf(stderr, "%s\n", est.status().ToString().c_str());
-    return 1;
-  }
-  est.value().set_direct(true);
-  r.open_seconds = SecondsSince(t0);
-  t0 = Clock::now();
-  Result<SelectivityEstimate> first = est.value().Estimate(kServingQueries[0]);
-  r.first_query_seconds = SecondsSince(t0);
-  XMLSEL_CHECK(first.ok());
-  r.first_lower = first.value().lower;
-  r.first_upper = first.value().upper;
-  t0 = Clock::now();
-  for (int rep = 0; rep < warm_reps; ++rep) {
-    for (const char* q : kServingQueries) {
-      XMLSEL_CHECK(est.value().Estimate(q).ok());
-    }
-  }
-  r.warm_query_seconds = SecondsSince(t0) /
-      (static_cast<double>(warm_reps) * kServingQueryCount);
-  const MappedSynopsis& image = est.value().image();
-  r.decoded_rules = image.lossy_layer().cache_stats().decoded_rules +
-                    image.lossless_layer().cache_stats().decoded_rules;
+  const MappedSynopsis& image = *snapshot->mapped_image();
+  r.decoded_rules = image.Stats().decoded_rules();
   r.total_rules = image.lossy_layer().rule_count() +
                   image.lossless_layer().rule_count();
   r.vm_hwm_bytes = VmHwmBytes();
@@ -497,13 +458,10 @@ int Run(bool smoke, const char* out_path) {
       static_cast<long long>(image_bytes));
   const int warm_reps = smoke ? 5 : 25;
   ScenarioResult mapped;
-  ScenarioResult direct;
   ScenarioResult eager;
   ScenarioResult build;
   XMLSEL_CHECK(
       RunScenarioInChild("mapped", image_path, warm_reps, 0, &mapped));
-  XMLSEL_CHECK(
-      RunScenarioInChild("direct", image_path, warm_reps, 0, &direct));
   XMLSEL_CHECK(
       RunScenarioInChild("eager", image_path, warm_reps, 0, &eager));
   XMLSEL_CHECK(RunScenarioInChild("build", xml_path, warm_reps,
@@ -511,13 +469,11 @@ int Run(bool smoke, const char* out_path) {
   std::remove(image_path.c_str());
   std::remove(xml_path.c_str());
 
-  // Same answers out of all four serving forms.
+  // Same answers out of all three serving forms.
   XMLSEL_CHECK(mapped.first_lower == eager.first_lower);
   XMLSEL_CHECK(mapped.first_upper == eager.first_upper);
   XMLSEL_CHECK(mapped.first_lower == build.first_lower);
   XMLSEL_CHECK(mapped.first_upper == build.first_upper);
-  XMLSEL_CHECK(mapped.first_lower == direct.first_lower);
-  XMLSEL_CHECK(mapped.first_upper == direct.first_upper);
 
   double cold_start_speedup = eager.total_seconds() / mapped.total_seconds();
   double speedup_vs_build = build.total_seconds() / mapped.total_seconds();
@@ -528,24 +484,11 @@ int Run(bool smoke, const char* out_path) {
                       ? (eager.total_seconds() - mapped.total_seconds()) /
                             warm_delta
                       : -1.0;
-  // Direct-vs-decoded crossover: the decode cache pays its population on
-  // the first query and then serves flat rules; packed-direct re-walks
-  // the bits per evaluation. The crossover is the warm query count after
-  // which the cached path has amortized its decode — 0 when it is already
-  // ahead at the first query, -1 when direct stays ahead forever (its
-  // warm queries are no slower).
-  double direct_warm_delta =
-      direct.warm_query_seconds - mapped.warm_query_seconds;
-  double direct_crossover =
-      direct_warm_delta > 0
-          ? std::max(0.0, (mapped.total_seconds() - direct.total_seconds()) /
-                              direct_warm_delta)
-          : -1.0;
   const struct {
     const char* name;
     const ScenarioResult* r;
-  } kScenarios[] = {{"mapped", &mapped}, {"direct", &direct},
-                    {"eager", &eager}, {"build", &build}};
+  } kScenarios[] = {
+      {"mapped", &mapped}, {"eager", &eager}, {"build", &build}};
   for (const auto& sc : kScenarios) {
     std::printf(
         "  %-6s open %9.6fs  first query %9.6fs  total %9.6fs  "
@@ -562,11 +505,8 @@ int Run(bool smoke, const char* out_path) {
   std::printf(
       "  cold-start-to-first-query speedup: %.1fx vs eager thaw, "
       "%.1fx vs rebuild-from-XML (target >= 10x on the full fixture)\n"
-      "  queries until eager parity: %.0f\n"
-      "  packed-direct: decoded %lld rules (must be 0), "
-      "queries until decoded-cache parity: %.0f\n",
-      cold_start_speedup, speedup_vs_build, parity,
-      static_cast<long long>(direct.decoded_rules), direct_crossover);
+      "  queries until eager parity: %.0f\n",
+      cold_start_speedup, speedup_vs_build, parity);
 
   // 4. Corruption rejection.
   bool corruption_rejected = CorruptionDrill();
@@ -578,12 +518,8 @@ int Run(bool smoke, const char* out_path) {
     XMLSEL_CHECK(corruption_rejected);
     XMLSEL_CHECK(mapped.decoded_rules < mapped.total_rules);
     XMLSEL_CHECK(mapped.decoded_rules > 0);
-    // The packed-direct gate: an entire cold-start-to-warm-loop run with
-    // zero shared-cache decodes.
-    XMLSEL_CHECK(direct.decoded_rules == 0);
     XMLSEL_CHECK(mapped.vm_hwm_bytes > 0 && eager.vm_hwm_bytes > 0);
-    std::printf("smoke: lazy decode, packed-direct, and corruption gates "
-                "hold\n");
+    std::printf("smoke: lazy decode and corruption gates hold\n");
   }
 
   // --- JSON: embedded verbatim by bench_throughput as the `storage`
@@ -654,19 +590,6 @@ int Run(bool smoke, const char* out_path) {
                    static_cast<double>(eager.rss_delta_bytes));
   std::fprintf(f, "      \"queries_until_parity\": %.0f\n", parity);
   std::fprintf(f, "    },\n");
-  std::fprintf(f, "    \"packed_direct\": {\n");
-  std::fprintf(f, "      \"decoded_rules\": %lld,\n",
-               static_cast<long long>(direct.decoded_rules));
-  std::fprintf(f, "      \"cold_start_to_first_query_seconds\": %.6f,\n",
-               direct.total_seconds());
-  std::fprintf(f, "      \"warm_query_seconds\": %.9f,\n",
-               direct.warm_query_seconds);
-  std::fprintf(f,
-               "      \"warm_query_seconds_decoded_cache\": %.9f,\n",
-               mapped.warm_query_seconds);
-  std::fprintf(f, "      \"queries_until_decoded_parity\": %.0f\n",
-               direct_crossover);
-  std::fprintf(f, "    },\n");
   std::fprintf(f, "    \"corruption_rejected\": %s\n",
                corruption_rejected ? "true" : "false");
   std::fprintf(f, "}\n");
@@ -686,9 +609,6 @@ int main(int argc, char** argv) {
     int kappa = argc > 5 ? std::atoi(argv[5]) : 0;
     if (std::strcmp(argv[2], "mapped") == 0) {
       return xmlsel::RunMappedScenario(argv[3], warm_reps);
-    }
-    if (std::strcmp(argv[2], "direct") == 0) {
-      return xmlsel::RunDirectScenario(argv[3], warm_reps);
     }
     if (std::strcmp(argv[2], "eager") == 0) {
       return xmlsel::RunEagerScenario(argv[3], warm_reps);

@@ -13,7 +13,7 @@
 //                        present, is embedded verbatim as the "serving" /
 //                        "storage" section — carrying its own host
 //                        fingerprint, scaling_valid flag, and the
-//                        packed_direct / budget sections)
+//                        budget section)
 //
 // Thread scaling is hardware-bound: on a single-core host all thread
 // counts collapse to ~1×, so the JSON records hardware_concurrency

@@ -14,9 +14,9 @@
 // /star-root arrays, all exposed as spans. The flat form is the common
 // currency of every provider — the eager SynopsisEvalCache/LocalRuleProvider
 // flatten decoded GrammarRules, the mapped decode cache (storage/mapped.h)
-// stores flattened rules in its slots, and the packed-direct path
-// (storage/packed_cursor.h) emits the flat form straight from a rule's
-// bit-stream without ever materializing a GrammarRule. Because the node
+// stores flattened rules in its slots, which its packed cursor
+// (storage/packed_cursor.h) fills straight from a rule's bit-stream
+// without ever materializing a GrammarRule. Because the node
 // ids, walk order, and star-root sets are identical across providers, the
 // evaluator's kernel-counter traces are bit-identical no matter where the
 // rules came from.
@@ -139,7 +139,7 @@ struct FlatRuleData {
 
 /// Appends the post-order of the flat structure rooted at `root` to
 /// `*out` (⊥ children skipped) — the flat mirror of RulePostOrder, used
-/// by both the flattener below and the packed-direct cursor so every
+/// by both the flattener below and the packed cursor so every
 /// provider serves an identical walk order.
 void AppendFlatPostOrder(std::span<const RuleNodeView> nodes,
                          std::span<const int32_t> children, int32_t root,
@@ -154,7 +154,7 @@ void ComputeFlatStarRoots(std::span<const RuleNodeView> nodes,
                           std::vector<LabelId>* labels);
 
 /// Flattens one decoded rule into the evaluator's flat form, preserving
-/// node ids. The result is identical to what the packed-direct cursor
+/// node ids. The result is identical to what the packed cursor
 /// emits for the same rule's bit-stream (verify/mapped_verify.cc checks
 /// this identity rule by rule).
 void FlattenRule(const GrammarRule& rule, const LabelMaps* maps,

@@ -18,7 +18,7 @@ namespace {
 /// The serving view over an eager synopsis: rules come from the shared
 /// SynopsisEvalCache (forcing its lazy build), everything else straight
 /// from the Synopsis members. The estimate pipeline itself lives in
-/// estimator/serving.cc, shared with the mmap-backed MappedEstimator.
+/// estimator/serving.cc, shared with the mapped serving snapshots.
 ServingView ViewOf(const Synopsis& synopsis) {
   ServingView view;
   view.provider = &synopsis.eval_cache();
@@ -60,30 +60,10 @@ std::vector<Result<SelectivityEstimate>> SelectivityEstimator::EstimateBatch(
   // Parsing interns labels into the synopsis NameTable, so it stays on
   // the calling thread; evaluation parallelism comes from the Query
   // overload.
-  std::vector<Query> queries;
-  queries.reserve(xpaths.size());
-  std::vector<std::pair<size_t, Status>> parse_failures;
-  for (size_t i = 0; i < xpaths.size(); ++i) {
-    Result<Query> parsed = ParseQuery(xpaths[i], &synopsis_.names());
-    if (parsed.ok()) {
-      queries.push_back(std::move(parsed).value());
-    } else {
-      parse_failures.emplace_back(i, parsed.status());
-      // Minimal valid placeholder keeping positions aligned; its result
-      // is overwritten with the parse error below.
-      Query placeholder;
-      placeholder.SetMatchNode(
-          placeholder.AddNode(0, Axis::kChild, kWildcardTest));
-      queries.push_back(std::move(placeholder));
-    }
-  }
-  std::vector<Result<SelectivityEstimate>> out =
-      EstimateBatch(std::span<const Query>(queries), threads);
-  // Placeholder queries estimated something; restore their parse errors.
-  for (const auto& [i, status] : parse_failures) {
-    out[i] = Result<SelectivityEstimate>(status);
-  }
-  return out;
+  return EstimateStringBatch(
+      xpaths, &synopsis_.names(), [this, threads](std::span<const Query> q) {
+        return EstimateBatch(q, threads);
+      });
 }
 
 std::vector<Result<SelectivityEstimate>> SelectivityEstimator::EstimateBatch(

@@ -30,7 +30,7 @@
 namespace xmlsel {
 
 // SelectivityEstimate lives in estimator/serving.h (shared with the
-// mmap-backed MappedEstimator); it is re-exported here for the library's
+// serving snapshots); it is re-exported here for the library's
 // historical public surface.
 
 /// The estimator: synopsis + query front end + automaton evaluation.

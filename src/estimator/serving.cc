@@ -5,10 +5,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "automaton/grammar_eval.h"
+#include "query/parser.h"
 #include "xmlsel/rcu.h"
 
 namespace xmlsel {
@@ -21,28 +21,9 @@ using PreparedHandle = std::shared_ptr<const PreparedQuery>;
 /// status is OK. The RCU guard pins any decode-cache rules the evaluator
 /// borrows, so a concurrent EnforceDecodeBudget on the underlying image
 /// can never free them mid-evaluation.
-///
-/// On the packed-direct path, `direct_scratch` (optional) is a provider
-/// shared by the caller across both bounds of one query so each reached
-/// rule streams off the bits once per query instead of once per bound.
-/// It must be confined to the calling thread; pass nullptr when the two
-/// bounds may run on different threads and each call builds its own.
 Result<int64_t> EvaluateBound(const ServingView& view, const CompiledQuery& cq,
-                              BoundMode mode,
-                              DirectRuleProvider* direct_scratch = nullptr) {
+                              BoundMode mode) {
   RcuDomain::ReadGuard guard;
-  if (view.direct_layer != nullptr) {
-    std::optional<DirectRuleProvider> local;
-    DirectRuleProvider* direct = direct_scratch;
-    if (direct == nullptr) {
-      local.emplace(view.direct_layer);
-      direct = &*local;
-    }
-    GrammarEvaluator eval(direct, &cq, view.maps, mode);
-    GrammarEvalResult r = eval.Evaluate();
-    if (!r.status.ok()) return r.status;
-    return r.count;
-  }
   GrammarEvaluator eval(view.provider, &cq, view.maps, mode);
   GrammarEvalResult r = eval.Evaluate();
   if (!r.status.ok()) return r.status;
@@ -65,29 +46,6 @@ SelectivityEstimate Finalize(const ServingView& view, const PreparedQuery& pq,
 
 }  // namespace
 
-RuleEvalData DirectRuleProvider::Rule(int32_t rule) const {
-  if (rule < 0 || rule >= rule_count()) {
-    if (error_.ok()) {
-      error_ = Status::Corruption("direct: rule index " +
-                                  std::to_string(rule) + " out of range");
-    }
-    return {};
-  }
-  const size_t r = static_cast<size_t>(rule);
-  if (rules_[r] == nullptr) {
-    auto fresh = std::make_unique<FlatRuleData>();
-    Status st = cursor_.DecodeFlat(rule, layer_->rule_offset(rule),
-                                   layer_->rule_bit_len(rule), fresh.get());
-    if (!st.ok()) {
-      if (error_.ok()) error_ = st;
-      return {};
-    }
-    layer_->CountDirectDecode();
-    rules_[r] = std::move(fresh);
-  }
-  return rules_[r]->View();
-}
-
 int64_t ServingLabelTotal(const ServingView& view, LabelId label) {
   if (label < 0 || label >= static_cast<LabelId>(view.label_totals.size())) {
     return view.element_total;
@@ -103,16 +61,10 @@ Result<SelectivityEstimate> EstimateQueryOnView(const ServingView& view,
   if (pq.unsatisfiable) {
     return SelectivityEstimate{0, 0};  // provably empty: exact answer
   }
-  // Both bounds run on this thread, so on the direct path they can share
-  // one provider: each reached rule streams off the mmap'd bits once.
-  std::optional<DirectRuleProvider> shared;
-  if (view.direct_layer != nullptr) shared.emplace(view.direct_layer);
-  DirectRuleProvider* scratch = shared ? &*shared : nullptr;
-  Result<int64_t> lower =
-      EvaluateBound(view, pq.lower, BoundMode::kLower, scratch);
+  Result<int64_t> lower = EvaluateBound(view, pq.lower, BoundMode::kLower);
   if (!lower.ok()) return lower.status();
   Result<int64_t> upper =
-      EvaluateBound(view, UpperQueryOf(pq), BoundMode::kUpper, scratch);
+      EvaluateBound(view, UpperQueryOf(pq), BoundMode::kUpper);
   if (!upper.ok()) return upper.status();
   return Finalize(view, pq, lower.value(), upper.value());
 }
@@ -140,44 +92,31 @@ std::vector<Result<SelectivityEstimate>> EstimateBatchOnView(
   std::vector<int64_t> upper_counts(n, 0);
   std::vector<Status> lower_status(n);
   std::vector<Status> upper_status(n);
-  auto eval_one = [&](size_t i, BoundMode mode,
-                      DirectRuleProvider* scratch) {
+  auto eval_one = [&](size_t i, BoundMode mode) {
     const PreparedQuery& pq = *prepared[i].value();
     if (mode == BoundMode::kLower) {
-      Result<int64_t> r =
-          EvaluateBound(view, pq.lower, BoundMode::kLower, scratch);
+      Result<int64_t> r = EvaluateBound(view, pq.lower, BoundMode::kLower);
       if (r.ok()) lower_counts[i] = r.value();
       else lower_status[i] = r.status();
     } else {
       Result<int64_t> r =
-          EvaluateBound(view, UpperQueryOf(pq), BoundMode::kUpper, scratch);
+          EvaluateBound(view, UpperQueryOf(pq), BoundMode::kUpper);
       if (r.ok()) upper_counts[i] = r.value();
       else upper_status[i] = r.status();
     }
   };
-  if (threads == 1 || pool == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      if (!prepared[i].ok() || prepared[i].value()->unsatisfiable) continue;
-      // Inline: both bounds run here, so the direct path shares one
-      // provider per query (same trick as EstimateQueryOnView).
-      std::optional<DirectRuleProvider> shared;
-      if (view.direct_layer != nullptr) shared.emplace(view.direct_layer);
-      DirectRuleProvider* scratch = shared ? &*shared : nullptr;
-      eval_one(i, BoundMode::kLower, scratch);
-      eval_one(i, BoundMode::kUpper, scratch);
+  const bool inline_run = threads == 1 || pool == nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    if (!prepared[i].ok() || prepared[i].value()->unsatisfiable) continue;
+    for (BoundMode mode : {BoundMode::kLower, BoundMode::kUpper}) {
+      if (inline_run) {
+        eval_one(i, mode);
+      } else {
+        pool->Submit([&eval_one, i, mode] { eval_one(i, mode); });
+      }
     }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      if (!prepared[i].ok() || prepared[i].value()->unsatisfiable) continue;
-      // Pooled: the two bounds may land on different threads, so each
-      // task builds its own thread-confined direct provider.
-      pool->Submit(
-          [&eval_one, i] { eval_one(i, BoundMode::kLower, nullptr); });
-      pool->Submit(
-          [&eval_one, i] { eval_one(i, BoundMode::kUpper, nullptr); });
-    }
-    pool->Wait();
   }
+  if (!inline_run) pool->Wait();
 
   // Phase 3 (controller thread): caps and assembly.
   std::vector<Result<SelectivityEstimate>> out;
@@ -195,6 +134,35 @@ std::vector<Result<SelectivityEstimate>> EstimateBatchOnView(
       out.push_back(Finalize(view, *prepared[i].value(), lower_counts[i],
                              upper_counts[i]));
     }
+  }
+  return out;
+}
+
+std::vector<Result<SelectivityEstimate>> EstimateStringBatch(
+    std::span<const std::string_view> xpaths, NameTable* names,
+    const std::function<std::vector<Result<SelectivityEstimate>>(
+        std::span<const Query>)>& estimate) {
+  std::vector<Query> queries;
+  queries.reserve(xpaths.size());
+  std::vector<std::pair<size_t, Status>> parse_failures;
+  for (size_t i = 0; i < xpaths.size(); ++i) {
+    Result<Query> parsed = ParseQuery(xpaths[i], names);
+    if (parsed.ok()) {
+      queries.push_back(std::move(parsed).value());
+    } else {
+      parse_failures.emplace_back(i, parsed.status());
+      // Minimal valid placeholder keeping positions aligned; its result
+      // is overwritten with the parse error below.
+      Query placeholder;
+      placeholder.SetMatchNode(
+          placeholder.AddNode(0, Axis::kChild, kWildcardTest));
+      queries.push_back(std::move(placeholder));
+    }
+  }
+  std::vector<Result<SelectivityEstimate>> out =
+      estimate(std::span<const Query>(queries));
+  for (const auto& [i, status] : parse_failures) {
+    out[i] = Result<SelectivityEstimate>(status);
   }
   return out;
 }

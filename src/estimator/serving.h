@@ -3,23 +3,23 @@
 //
 // The serving-path estimation core: parse-free query estimation expressed
 // over an abstract ServingView, so the eager SelectivityEstimator (full
-// Synopsis in memory) and the mmap-backed MappedEstimator (rules decoded
-// lazily out of a packed image) share one code path and produce
-// bit-identical results — same evaluator control flow, same caps, same
-// batch scheduling.
+// Synopsis in memory) and a mapped ServingSnapshot (rules decoded lazily
+// out of a packed image) share one code path and produce bit-identical
+// results — same evaluator control flow, same caps, same batch
+// scheduling.
 
 #ifndef XMLSEL_ESTIMATOR_SERVING_H_
 #define XMLSEL_ESTIMATOR_SERVING_H_
 
-#include <memory>
+#include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "automaton/compiled_cache.h"
 #include "automaton/eval_cache.h"
 #include "query/ast.h"
-#include "storage/mapped.h"
-#include "storage/packed_cursor.h"
+#include "xml/name_table.h"
 #include "xmlsel/status.h"
 #include "xmlsel/thread_pool.h"
 
@@ -50,42 +50,6 @@ struct ServingView {
   CompiledQueryCache* query_cache = nullptr;
   std::span<const int64_t> label_totals;   ///< indexed by LabelId
   int64_t element_total = 0;
-  /// Packed-direct mode: when set, each bound evaluation runs over a
-  /// per-call DirectRuleProvider on this layer instead of `provider` —
-  /// rules are decoded straight off the mmap'd bits into call-local
-  /// storage and the layer's shared decode cache stays untouched
-  /// (decoded_rules == 0). Results are bit-identical either way.
-  const MappedSynopsis::Layer* direct_layer = nullptr;
-};
-
-/// Packed-direct rule provider: serves a mapped layer's rules by walking
-/// their E(R_i) bit-streams in place (storage/packed_cursor.h) into
-/// provider-local storage, never touching the layer's shared decode-cache
-/// slots. Each rule decodes at most once per provider instance — callers
-/// that evaluate both bounds of a query on one thread share an instance
-/// so each rule streams once per query. Not thread-safe — thread-confined,
-/// like the evaluator's other mutable state.
-class DirectRuleProvider final : public RuleProvider {
- public:
-  explicit DirectRuleProvider(const MappedSynopsis::Layer* layer)
-      : layer_(layer),
-        cursor_(layer->MakeCursor()),
-        rules_(static_cast<size_t>(layer->rule_count())) {}
-
-  int32_t rule_count() const override { return layer_->rule_count(); }
-  std::span<const StarStats> star_stats() const override {
-    return layer_->star_stats();
-  }
-  RuleEvalData Rule(int32_t rule) const override;
-  Status error() const override { return error_; }
-
- private:
-  const MappedSynopsis::Layer* layer_;
-  mutable PackedRuleCursor cursor_;
-  /// Per-rule stable storage (spans handed to the evaluator point into
-  /// these; unique_ptr keeps them address-stable and presence-tagged).
-  mutable std::vector<std::unique_ptr<FlatRuleData>> rules_;
-  mutable Status error_;
 };
 
 /// Population of `label`; labels outside the stored totals (interned after
@@ -106,6 +70,16 @@ Result<SelectivityEstimate> EstimateQueryOnView(const ServingView& view,
 std::vector<Result<SelectivityEstimate>> EstimateBatchOnView(
     const ServingView& view, std::span<const Query> queries, int32_t threads,
     ThreadPool* pool);
+
+/// String front shared by every serving form: parses each XPath against
+/// `names` on the calling thread (parsing interns labels), then hands the
+/// parsed batch to `estimate`. A slot whose XPath fails to parse carries
+/// its parse status; `estimate` sees a trivial placeholder query there,
+/// so positions stay aligned.
+std::vector<Result<SelectivityEstimate>> EstimateStringBatch(
+    std::span<const std::string_view> xpaths, NameTable* names,
+    const std::function<std::vector<Result<SelectivityEstimate>>(
+        std::span<const Query>)>& estimate);
 
 }  // namespace xmlsel
 

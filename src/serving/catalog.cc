@@ -217,10 +217,16 @@ ServingCatalog::ServedImages() const {
 int64_t ServingCatalog::EnforceDecodeBudget() const {
   const int64_t budget = decode_budget_.load(std::memory_order_relaxed);
   if (budget <= 0) return 0;
-  std::vector<std::shared_ptr<const MappedSynopsis>> images = ServedImages();
+  // Each image's residency is read once: readers keep decoding while this
+  // runs, so re-reading it inside the sort comparator would give an
+  // inconsistent ordering (undefined behaviour for std::sort).
+  std::vector<std::pair<int64_t, std::shared_ptr<const MappedSynopsis>>>
+      images;
   int64_t total = 0;
-  for (const auto& image : images) {
-    total += image->Stats().resident_bytes();
+  for (auto& image : ServedImages()) {
+    const int64_t bytes = image->Stats().resident_bytes();
+    total += bytes;
+    images.emplace_back(bytes, std::move(image));
   }
   if (total <= budget) return 0;
   // Largest-resident images shed first: one pass over the sorted order
@@ -229,12 +235,11 @@ int64_t ServingCatalog::EnforceDecodeBudget() const {
   // out of it; the running total is refreshed from the image's actual
   // post-eviction residency, so concurrent decodes are accounted for.
   std::sort(images.begin(), images.end(),
-            [](const auto& a, const auto& b) {
-              return a->Stats().resident_bytes() > b->Stats().resident_bytes();
-            });
+            [](const auto& a, const auto& b) { return a.first > b.first; });
   int64_t evicted = 0;
-  for (const auto& image : images) {
+  for (const auto& entry : images) {
     if (total <= budget) break;
+    const std::shared_ptr<const MappedSynopsis>& image = entry.second;
     const int64_t before = image->Stats().resident_bytes();
     const int64_t excess = total - budget;
     const int64_t target = before > excess ? before - excess : 0;

@@ -98,8 +98,7 @@ class ServingCatalog {
   ServingCatalog& operator=(const ServingCatalog&) = delete;
 
   int32_t shard_count() const { return static_cast<int32_t>(shards_.size()); }
-  /// Which shard serves `tenant` (stable hash; the async front keys its
-  /// lane affinity off this).
+  /// Which shard serves `tenant` (stable hash).
   int32_t ShardIndex(std::string_view tenant) const;
 
   /// Publishes a new version of `tenant` wrapping an eager synopsis;
@@ -136,8 +135,7 @@ class ServingCatalog {
                                      ThreadPool* pool = nullptr) const;
 
   /// String-front convenience: parses against a private copy of the
-  /// snapshot's base names (per call — the async front keeps warmer
-  /// per-lane scratch tables instead).
+  /// snapshot's base names (per call).
   Result<BatchOutcome> EstimateStrings(std::string_view tenant,
                                        std::span<const std::string_view> xpaths,
                                        int32_t threads = 1,

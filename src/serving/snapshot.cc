@@ -5,7 +5,6 @@
 
 #include <utility>
 
-#include "query/parser.h"
 #include "xmlsel/common.h"
 
 namespace xmlsel {
@@ -133,29 +132,10 @@ std::vector<Result<SelectivityEstimate>> EstimateStringsOnSnapshot(
   // names — ids below base_label_count must agree, which holds for any
   // copy of the base table possibly extended by earlier parses.
   XMLSEL_CHECK(scratch->size() >= snapshot.base_label_count());
-  // Parsing interns into the caller's scratch table, so it stays on the
-  // calling thread; same placeholder protocol as the estimator fronts.
-  std::vector<Query> queries;
-  queries.reserve(xpaths.size());
-  std::vector<std::pair<size_t, Status>> parse_failures;
-  for (size_t i = 0; i < xpaths.size(); ++i) {
-    Result<Query> parsed = ParseQuery(xpaths[i], scratch);
-    if (parsed.ok()) {
-      queries.push_back(std::move(parsed).value());
-    } else {
-      parse_failures.emplace_back(i, parsed.status());
-      Query placeholder;
-      placeholder.SetMatchNode(
-          placeholder.AddNode(0, Axis::kChild, kWildcardTest));
-      queries.push_back(std::move(placeholder));
-    }
-  }
-  std::vector<Result<SelectivityEstimate>> out = EstimateBatchOnSnapshot(
-      snapshot, std::span<const Query>(queries), threads, pool);
-  for (const auto& [i, status] : parse_failures) {
-    out[i] = Result<SelectivityEstimate>(status);
-  }
-  return out;
+  return EstimateStringBatch(
+      xpaths, scratch, [&](std::span<const Query> queries) {
+        return EstimateBatchOnSnapshot(snapshot, queries, threads, pool);
+      });
 }
 
 }  // namespace xmlsel

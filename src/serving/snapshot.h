@@ -124,16 +124,14 @@ Result<SelectivityEstimate> EstimateOnSnapshot(const ServingSnapshot& snapshot,
 
 /// Batch estimation against a snapshot, positionally aligned and
 /// bit-identical to sequential EstimateOnSnapshot calls. `threads` == 1
-/// or a null pool runs inline (the serving front's per-shard drain tasks
-/// do exactly that — shard-level parallelism comes from the pool above).
+/// or a null pool runs inline.
 std::vector<Result<SelectivityEstimate>> EstimateBatchOnSnapshot(
     const ServingSnapshot& snapshot, std::span<const Query> queries,
     int32_t threads = 1, ThreadPool* pool = nullptr);
 
 /// String front: parses each XPath against `scratch` (a mutable copy of
-/// the snapshot's base names owned by the caller — the per-shard drain
-/// state or a stack local), then estimates. Parse failures surface
-/// per-slot.
+/// the snapshot's base names owned by the caller), then estimates. Parse
+/// failures surface per-slot.
 std::vector<Result<SelectivityEstimate>> EstimateStringsOnSnapshot(
     const ServingSnapshot& snapshot,
     std::span<const std::string_view> xpaths, NameTable* scratch,

@@ -314,7 +314,6 @@ MappedCacheStats MappedSynopsis::Layer::cache_stats() const {
   s.decoded_rules = decoded_rules_.load(std::memory_order_relaxed);
   s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.direct_decodes = direct_decodes_.load(std::memory_order_relaxed);
   s.total_rules = rule_count();
   return s;
 }

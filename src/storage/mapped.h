@@ -32,23 +32,17 @@
 // bounds-checks every read, so a flipped payload bit surfaces as a
 // kCorruption status at first touch, never as UB.
 //
-// Two consumption modes share each layer:
-//
-//  * Decode cache — Rule() materializes a rule's flat eval form
-//    (FlatRuleData) on first touch into a per-rule slot. Slots are no
-//    longer grow-only: EvictToBudget runs a CLOCK (second-chance) sweep
-//    in reachability-pruned order — statically unreachable rules first,
-//    then reachable ones leaf-to-root — and retires victims through the
-//    global RCU domain (xmlsel/rcu.h), so readers holding an
-//    RcuDomain::ReadGuard (every EvaluateBound does) can keep using a
-//    view across a concurrent eviction. resident_bytes accounting is
-//    exact: every decoded rule is charged sizeof(MappedDecodedRule) plus
-//    its vectors' *capacities* (AuditDecodeCache re-derives the totals).
-//  * Packed-direct — MakeCursor() hands out a PackedRuleCursor that
-//    walks E(R_i) streams in place; the DirectRuleProvider serving path
-//    (estimator/serving.h) decodes into provider-local storage and never
-//    touches the shared slots, so a direct-only tenant keeps
-//    decoded_rules == 0 for the image's whole lifetime.
+// Each layer serves queries through a decode cache: Rule() materializes
+// a rule's flat eval form (FlatRuleData) on first touch into a per-rule
+// slot, walking the rule's E(R_i) stream in place with a PackedRuleCursor.
+// Slots are not grow-only: EvictToBudget runs a CLOCK (second-chance)
+// sweep in reachability-pruned order — statically unreachable rules
+// first, then reachable ones leaf-to-root — and retires victims through
+// the global RCU domain (xmlsel/rcu.h), so readers holding an
+// RcuDomain::ReadGuard (every EvaluateBound does) can keep using a view
+// across a concurrent eviction. resident_bytes accounting is exact:
+// every decoded rule is charged sizeof(MappedDecodedRule) plus its
+// vectors' *capacities* (AuditDecodeCache re-derives the totals).
 
 #ifndef XMLSEL_STORAGE_MAPPED_H_
 #define XMLSEL_STORAGE_MAPPED_H_
@@ -144,7 +138,6 @@ struct MappedCacheStats {
   int64_t decoded_rules = 0;  ///< distinct rules currently decoded
   int64_t resident_bytes = 0; ///< exact heap held by decoded rules
   int64_t evictions = 0;      ///< rules evicted by EvictToBudget, lifetime
-  int64_t direct_decodes = 0; ///< packed-direct decodes (bypassed the cache)
   int64_t total_rules = 0;
 };
 
@@ -210,12 +203,12 @@ class MappedSynopsis {
     Status DecodeRuleEager(int32_t rule, GrammarRule* out) const;
 
     /// Decodes one rule into caller-owned flat storage, bypassing the
-    /// cache (the packed-direct miss path and verification use this).
+    /// cache (the cache's miss path and verification use this).
     Status DecodeRuleFlat(int32_t rule, FlatRuleData* out) const;
 
-    /// A cursor over this layer's payload for packed-direct walks. The
-    /// cursor borrows the layer's mapping and directory and must not
-    /// outlive the image.
+    /// A cursor over this layer's payload for in-place walks of the
+    /// E(R_i) streams. The cursor borrows the layer's mapping and
+    /// directory and must not outlive the image.
     PackedRuleCursor MakeCursor() const {
       return PackedRuleCursor(payload(), label_count_,
                               static_cast<int64_t>(stars_.size()), ranks_,
@@ -249,11 +242,6 @@ class MappedSynopsis {
     /// flight (the caller quiesces; the lock here only excludes the
     /// enforcer).
     Status AuditDecodeCache() const XMLSEL_EXCLUDES(evict_mu_);
-
-    /// Counts a packed-direct decode (DirectRuleProvider bookkeeping).
-    void CountDirectDecode() const {
-      direct_decodes_.fetch_add(1, std::memory_order_relaxed);
-    }
 
     /// Directory access for auditing.
     uint64_t rule_offset(int32_t rule) const {
@@ -305,7 +293,6 @@ class MappedSynopsis {
     mutable std::atomic<int64_t> decoded_rules_{0};
     mutable std::atomic<int64_t> resident_bytes_{0};
     mutable std::atomic<int64_t> evictions_{0};
-    mutable std::atomic<int64_t> direct_decodes_{0};
     mutable Mutex error_mu_;
     mutable Status error_ XMLSEL_GUARDED_BY(error_mu_);
     mutable Mutex evict_mu_;  ///< serializes enforcers, not readers

@@ -53,7 +53,7 @@ int64_t PointerRepresentationSize(const SltGrammar& g);
 // individual rules on first touch without materializing the grammar.
 
 // Symbol ids within rule i's stream (shared by the decoder here and the
-// packed-direct cursor, storage/packed_cursor.h):
+// packed cursor, storage/packed_cursor.h):
 //   0                      star
 //   1                      parameter (index implicit, pre-order)
 //   2                      ⊥ (the paper's A_0)

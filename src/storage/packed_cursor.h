@@ -1,14 +1,13 @@
 // Copyright 2026 The xmlsel Authors
 // SPDX-License-Identifier: Apache-2.0
 //
-// Packed-direct rule access: walk a rule's §7 E(R_i) bit-stream in place
+// In-place rule access: walk a rule's §7 E(R_i) bit-stream in place
 // (straight over the mmap-ed payload section) and emit the evaluator's
 // flat form — no GrammarRule, no per-node child vectors, no decode-cache
-// slot. A PackedRuleCursor is the substrate of the DirectRuleProvider
-// serving path (estimator/serving.h) and of the decode cache's miss path
-// (storage/mapped.h); both produce data bit-identical to flattening an
-// eager DecodePackedRule, which verify/mapped_verify.cc checks rule by
-// rule.
+// slot. A PackedRuleCursor is the decode cache's miss path and the
+// source of its eviction sweep order (storage/mapped.h); its output is
+// bit-identical to flattening an eager DecodePackedRule, which
+// verify/mapped_verify.cc checks rule by rule.
 //
 // The cursor mirrors DecodePackedRule's frame algorithm exactly: node ids
 // are assigned at frame completion, which is the same order RhsBuilder
@@ -19,8 +18,7 @@
 // replicated — corrupt bytes yield kCorruption, never UB.
 //
 // A cursor owns only reusable scratch (frames, pending child ids); it is
-// cheap to construct and not thread-safe (one per provider/evaluator,
-// like the rest of their mutable state).
+// cheap to construct and not thread-safe (one per decode call).
 
 #ifndef XMLSEL_STORAGE_PACKED_CURSOR_H_
 #define XMLSEL_STORAGE_PACKED_CURSOR_H_

@@ -27,9 +27,9 @@ namespace xmlsel {
 namespace {
 
 /// Element-for-element comparison of two flat rule forms — the identity
-/// the packed-direct path rests on: decode-cache slots, packed-direct
-/// cursor output, and the eager flattener must be indistinguishable to
-/// the evaluator.
+/// the decode cache rests on: decode-cache slots, uncached cursor
+/// output, and the eager flattener must be indistinguishable to the
+/// evaluator.
 Status CompareFlatRules(const RuleEvalData& got, const RuleEvalData& want) {
   if (!got.valid) return Status::Corruption("rule is invalid");
   if (got.rank != want.rank) {
@@ -126,10 +126,10 @@ Status VerifyMappedLayer(const MappedSynopsis& image, int layer) {
     }
   }
 
-  // Both lazy paths — the decode cache and the packed-direct cursor —
+  // Both lazy paths — the decode cache and an uncached cursor decode —
   // must serve exactly the flattening of the eager decode, rule by rule.
   FlatRuleData reference;
-  FlatRuleData direct;
+  FlatRuleData uncached;
   for (int32_t i = 0; i < L.rule_count(); ++i) {
     FlattenRule(g.rule(i), L.maps(), &reference);
     RuleEvalData d = L.Rule(i);
@@ -144,17 +144,17 @@ Status VerifyMappedLayer(const MappedSynopsis& image, int layer) {
                                 " lazy decode disagrees with eager decode: " +
                                 cmp.message());
     }
-    Status st = L.DecodeRuleFlat(i, &direct);
+    Status st = L.DecodeRuleFlat(i, &uncached);
     if (!st.ok()) {
       return Status::Corruption(at + " rule " + std::to_string(i) +
-                                " failed packed-direct decode: " +
+                                " failed uncached decode: " +
                                 st.ToString());
     }
-    cmp = CompareFlatRules(direct.View(), reference.View());
+    cmp = CompareFlatRules(uncached.View(), reference.View());
     if (!cmp.ok()) {
       return Status::Corruption(
           at + " rule " + std::to_string(i) +
-          " packed-direct decode disagrees with eager decode: " +
+          " uncached decode disagrees with eager decode: " +
           cmp.message());
     }
   }

@@ -19,8 +19,6 @@ const char* StatusCodeName(StatusCode code) {
       return "Corruption";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kResourceExhausted:
-      return "ResourceExhausted";
   }
   return "Unknown";
 }

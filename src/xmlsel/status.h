@@ -25,7 +25,6 @@ enum class StatusCode {
   kNotFound,          // e.g. bindd path does not resolve to a node
   kCorruption,        // packed synopsis failed to decode
   kInternal,          // invariant violation surfaced as an error
-  kResourceExhausted, // bounded queue full, admission rejected
 };
 
 /// Returns a short human-readable name for a status code.
@@ -57,9 +56,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

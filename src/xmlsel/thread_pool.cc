@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -50,11 +49,10 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task, const char* tag) {
+void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(mu_);
-    queue_.push_back(
-        Task{std::move(task), tag == nullptr ? std::string() : tag});
+    queue_.push_back(std::move(task));
   }
   work_cv_.NotifyOne();
 }
@@ -66,20 +64,9 @@ void ThreadPool::Wait() {
   });
 }
 
-int64_t ThreadPool::QueueDepth() const {
-  MutexLock lock(mu_);
-  return static_cast<int64_t>(queue_.size()) + active_;
-}
-
-std::vector<std::pair<std::string, ThreadPoolTagStats>> ThreadPool::TagStats()
-    const {
-  MutexLock lock(mu_);
-  return {tag_stats_.begin(), tag_stats_.end()};
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    Task task;
+    std::function<void()> task;
     {
       MutexLock lock(mu_);
       work_cv_.Wait(
@@ -89,19 +76,7 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
       ++active_;
     }
-    if (task.tag.empty()) {
-      task.fn();
-    } else {
-      auto t0 = std::chrono::steady_clock::now();
-      task.fn();
-      double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      MutexLock lock(mu_);
-      ThreadPoolTagStats& stats = tag_stats_[task.tag];
-      ++stats.tasks;
-      stats.seconds += secs;
-    }
+    task();
     {
       MutexLock lock(mu_);
       --active_;

@@ -7,12 +7,6 @@
 // batches without re-spawning threads. The pool is deliberately minimal —
 // no futures, no work stealing — because estimation tasks are coarse
 // (one bound evaluation each) and independent.
-//
-// Tasks may carry a name tag ("lane-3", "update-pipeline"); the pool
-// accumulates per-tag task counts and wall time so the serving bench and
-// the update pipeline can attribute pool time per shard without
-// re-instrumenting their call sites. QueueDepth() exposes the backlog
-// (queued + running) for backpressure and saturation monitoring.
 
 #ifndef XMLSEL_XMLSEL_THREAD_POOL_H_
 #define XMLSEL_XMLSEL_THREAD_POOL_H_
@@ -20,10 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "xmlsel/mutex.h"
@@ -37,16 +28,10 @@ namespace xmlsel {
 /// overrides the detected value (read once, cached for the process).
 int32_t DefaultThreadCount();
 
-/// Accumulated cost of one task tag.
-struct ThreadPoolTagStats {
-  int64_t tasks = 0;
-  double seconds = 0.0;
-};
-
 /// Fixed-size pool. Submit() and Wait() may be called from one controller
-/// thread at a time; tasks themselves must not call back into the pool's
-/// Wait() (Submit from within a task is allowed — the serving front's
-/// drain tasks reschedule themselves).
+/// thread at a time; tasks must not call back into the pool (no Submit,
+/// no Wait) — every batch is a flat set of independent tasks the
+/// controller submits and then waits for.
 class ThreadPool {
  public:
   explicit ThreadPool(int32_t num_threads);
@@ -55,39 +40,24 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task for execution on some worker. A non-null `tag`
-  /// attributes the task's count and wall time to that name.
-  void Submit(std::function<void()> task, const char* tag = nullptr)
-      XMLSEL_EXCLUDES(mu_);
+  /// Enqueues a task for execution on some worker.
+  void Submit(std::function<void()> task) XMLSEL_EXCLUDES(mu_);
 
   /// Blocks until the queue is empty and no task is running. Establishes
   /// a happens-before edge with every completed task, so results written
   /// by tasks are visible to the caller afterwards.
   void Wait() XMLSEL_EXCLUDES(mu_);
 
-  /// Tasks queued plus tasks currently running — the pool's backlog.
-  int64_t QueueDepth() const XMLSEL_EXCLUDES(mu_);
-
-  /// Snapshot of the per-tag accounting, sorted by tag name.
-  std::vector<std::pair<std::string, ThreadPoolTagStats>> TagStats() const
-      XMLSEL_EXCLUDES(mu_);
-
   int32_t size() const { return static_cast<int32_t>(workers_.size()); }
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    std::string tag;  ///< empty = untagged (no timing overhead)
-  };
-
   void WorkerLoop() XMLSEL_EXCLUDES(mu_);
 
   std::vector<std::thread> workers_;
-  mutable Mutex mu_;
+  Mutex mu_;
   CondVar work_cv_;  // signalled when work arrives / stop
   CondVar idle_cv_;  // signalled when the pool drains
-  std::deque<Task> queue_ XMLSEL_GUARDED_BY(mu_);
-  std::map<std::string, ThreadPoolTagStats> tag_stats_ XMLSEL_GUARDED_BY(mu_);
+  std::deque<std::function<void()>> queue_ XMLSEL_GUARDED_BY(mu_);
   int32_t active_ XMLSEL_GUARDED_BY(mu_) = 0;  // tasks currently executing
   bool stop_ XMLSEL_GUARDED_BY(mu_) = false;
 };

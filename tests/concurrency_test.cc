@@ -25,10 +25,8 @@
 #include "baseline/exact.h"
 #include "data/generator.h"
 #include "estimator/estimator.h"
-#include "estimator/mapped_estimator.h"
 #include "query/parser.h"
 #include "query/rewrite.h"
-#include "serving/batch_front.h"
 #include "serving/catalog.h"
 #include "serving/snapshot.h"
 #include "storage/mapped.h"
@@ -504,64 +502,59 @@ TEST(ConcurrencyTest, PinnedSnapshotAndCompiledHandlesOutliveSwapAndRemoval) {
   }
 }
 
-// The async front under the same writer pressure: batches submitted as
-// strings through lanes while writers swap versions. Each completed
-// batch must match one published version bit-for-bit, and the front must
-// account every submission.
-TEST(ConcurrencyTest, ServingFrontSubmissionsRaceWritersCleanly) {
+// The string path `xmlsel_tool serve` uses — EstimateStrings fanned out
+// over a shared pool — under the same writer pressure. Each batch must
+// match one published version bit-for-bit.
+TEST(ConcurrencyTest, EstimateStringsOnSharedPoolRacesWritersCleanly) {
   SwapFixture f = SwapFixture::Make();
   ServingCatalog catalog;
   catalog.PublishSynopsis("t", f.version_a);
   ThreadPool pool(4);
-  ServingFront front(&catalog, &pool);
 
-  const std::vector<std::string> xpaths = {
+  const std::vector<std::string_view> xpaths = {
       "//article", "//article/author", "//inproceedings[./title]",
       "/dblp/article/title"};
-  constexpr int kBatches = 48;
-  std::vector<BatchFuture> futures;
+  std::atomic<bool> writing{true};
   std::thread writer([&] {
     for (int i = 0; i < 25; ++i) {
       catalog.PublishSynopsis("t", i % 2 == 0 ? f.version_b : f.version_a);
     }
+    writing.store(false);
   });
-  for (int i = 0; i < kBatches; ++i) {
-    auto fut = front.Submit("t", xpaths);
-    ASSERT_TRUE(fut.ok());
-    futures.push_back(fut.value());
-  }
-  for (const BatchFuture& fut : futures) {
-    auto outcome = fut.Wait();
+  int batches = 0;
+  while (writing.load() || batches < 48) {
+    auto outcome = catalog.EstimateStrings("t", xpaths, pool.size(), &pool);
     ASSERT_TRUE(outcome.ok());
     EXPECT_TRUE(f.MatchesOneVersion(outcome.value().results));
+    ++batches;
   }
   writer.join();
-  front.Drain();
-  FrontStats fs = front.Stats();
-  EXPECT_EQ(fs.submitted, kBatches);
-  EXPECT_EQ(fs.completed, kBatches);
-  EXPECT_EQ(fs.queue_depth, 0);
   EXPECT_EQ(catalog.Stats().reader_fast_path_locks, 0);
 }
 
-// The packed-direct and budgeted-eviction hammer (run under TSan via
-// tools/check.sh): readers batch-estimate a mapped tenant through the
-// catalog's shared decode cache, a packed-direct reader estimates
-// straight off the mmap'd bits, and an enforcer thread concurrently
-// evicts the cache down to a tight byte budget and reclaims
-// grace-expired rules. Every batch — cache-served or direct, before,
-// during, and after evictions — must be bit-identical to the eager
-// oracle, and the exact residency accounting must audit cleanly once
-// quiescent.
+// The budgeted-eviction hammer (run under TSan via tools/check.sh):
+// readers batch-estimate several mapped tenants, each with its own image
+// and decode cache, while an enforcer thread concurrently evicts the
+// caches down to a tight catalog-wide byte budget and reclaims
+// grace-expired rules. With several images the enforcer orders them by
+// residency while readers are still decoding into them. Every batch —
+// before, during, and after evictions — must be bit-identical to the
+// eager oracle, and the exact residency accounting must audit cleanly
+// once quiescent.
 TEST(ConcurrencyTest, DecodeBudgetEnforcerRacesReadersBitIdentically) {
   Document doc = GenerateDataset(DatasetId::kDblp, 1200, 3);
   SynopsisOptions sopts;
   sopts.kappa = 4;
   auto synopsis = std::make_shared<Synopsis>(Synopsis::Build(doc, sopts));
-  Result<std::unique_ptr<MappedSynopsis>> opened =
-      MappedSynopsis::FromBuffer(BuildMappedImage(*synopsis));
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  std::shared_ptr<const MappedSynopsis> image(std::move(opened).value());
+  constexpr int kImages = 4;
+  std::vector<std::shared_ptr<const MappedSynopsis>> images;
+  for (int i = 0; i < kImages; ++i) {
+    Result<std::unique_ptr<MappedSynopsis>> opened =
+        MappedSynopsis::FromBuffer(BuildMappedImage(*synopsis));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    images.emplace_back(std::move(opened).value());
+  }
+  auto tenant = [](int i) { return "m" + std::to_string(i); };
 
   NameTable names = synopsis->names();
   std::vector<Query> queries;
@@ -593,12 +586,17 @@ TEST(ConcurrencyTest, DecodeBudgetEnforcerRacesReadersBitIdentically) {
   };
 
   ServingCatalog catalog;
-  catalog.PublishMapped("m", image);
-  // Warm the cache once, then budget a fraction of the warm residency so
-  // the enforcer has real evictions to do on every pass.
-  ASSERT_TRUE(
-      catalog.EstimateBatch("m", std::span<const Query>(queries)).ok());
-  const int64_t warm = image->Stats().resident_bytes();
+  for (int i = 0; i < kImages; ++i) {
+    catalog.PublishMapped(tenant(i), images[static_cast<size_t>(i)]);
+  }
+  // Warm every cache once, then budget a fraction of the warm residency
+  // so the enforcer has real evictions to do on every pass.
+  for (int i = 0; i < kImages; ++i) {
+    ASSERT_TRUE(
+        catalog.EstimateBatch(tenant(i), std::span<const Query>(queries))
+            .ok());
+  }
+  const int64_t warm = catalog.Stats().decode_resident_bytes;
   ASSERT_GT(warm, 0);
   catalog.SetDecodeBudget(std::max<int64_t>(warm / 4, 1));
 
@@ -608,10 +606,10 @@ TEST(ConcurrencyTest, DecodeBudgetEnforcerRacesReadersBitIdentically) {
   std::atomic<int64_t> batches{0};
   std::vector<std::thread> threads;
   for (int r = 0; r < kReaders; ++r) {
-    threads.emplace_back([&] {
-      while (!stop.load()) {
-        auto outcome =
-            catalog.EstimateBatch("m", std::span<const Query>(queries));
+    threads.emplace_back([&, r] {
+      for (int i = r; !stop.load(); ++i) {
+        auto outcome = catalog.EstimateBatch(
+            tenant(i % kImages), std::span<const Query>(queries));
         if (!outcome.ok() || !matches(outcome.value().results)) {
           all_identical.store(false);
           stop.store(true);
@@ -621,23 +619,6 @@ TEST(ConcurrencyTest, DecodeBudgetEnforcerRacesReadersBitIdentically) {
       }
     });
   }
-  // The packed-direct reader shares the image but never the cache: its
-  // per-call providers decode off the bits, immune to the evictions
-  // racing underneath.
-  threads.emplace_back([&] {
-    MappedEstimator direct(image);
-    direct.set_direct(true);
-    while (!stop.load()) {
-      std::vector<Result<SelectivityEstimate>> results =
-          direct.EstimateBatch(std::span<const Query>(queries), 1);
-      if (!matches(results)) {
-        all_identical.store(false);
-        stop.store(true);
-        return;
-      }
-      batches.fetch_add(1);
-    }
-  });
   threads.emplace_back([&] {
     while (!stop.load()) {
       catalog.EnforceDecodeBudget();
@@ -658,8 +639,10 @@ TEST(ConcurrencyTest, DecodeBudgetEnforcerRacesReadersBitIdentically) {
   catalog.EnforceDecodeBudget();
   catalog.ReclaimEvictedRules();
   EXPECT_LE(catalog.Stats().decode_resident_bytes, catalog.decode_budget());
-  Status audit = image->lossy_layer().AuditDecodeCache();
-  EXPECT_TRUE(audit.ok()) << audit.ToString();
+  for (const auto& image : images) {
+    Status audit = image->lossy_layer().AuditDecodeCache();
+    EXPECT_TRUE(audit.ok()) << audit.ToString();
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Copyright 2026 The xmlsel Authors
 // SPDX-License-Identifier: Apache-2.0
 //
-// Tests for the mmap-able synopsis image (storage/mapped.h) and its
-// estimator front end. The central property: serving out of the packed
-// image — rules decoded lazily on first touch — is *bit-identical* to the
-// eager path, down to the kernel's own counters, across datasets, κ
-// values, query shapes, and cold/warm decode caches. Plus the laziness
+// Tests for the mmap-able synopsis image (storage/mapped.h) served through
+// a mapped ServingSnapshot. The central property: serving out of the
+// packed image — rules decoded lazily on first touch — is *bit-identical*
+// to the eager path, down to the kernel's own counters, across datasets,
+// κ values, query shapes, and cold/warm decode caches. Plus the laziness
 // claims themselves: the lossless layer stays cold, and decoded rules
 // stay below the image's total.
 
@@ -19,12 +19,13 @@
 #include "automaton/grammar_eval.h"
 #include "data/generator.h"
 #include "estimator/estimator.h"
-#include "estimator/mapped_estimator.h"
 #include "estimator/serving.h"
 #include "estimator/synopsis.h"
+#include "serving/snapshot.h"
 #include "storage/mapped.h"
 #include "verify/verify.h"
 #include "workload/query_gen.h"
+#include "xmlsel/thread_pool.h"
 
 namespace xmlsel {
 namespace {
@@ -43,6 +44,22 @@ std::shared_ptr<const MappedSynopsis> OpenImage(const Synopsis& s) {
       MappedSynopsis::FromBuffer(BuildMappedImage(s), options);
   EXPECT_TRUE(image.ok()) << image.status().ToString();
   return std::shared_ptr<const MappedSynopsis>(std::move(image).value());
+}
+
+std::shared_ptr<const ServingSnapshot> ServeImage(const Synopsis& s) {
+  return ServingSnapshot::FromMapped(OpenImage(s), 1);
+}
+
+/// Parses `xpath` against a copy of the snapshot's names and estimates it.
+Result<SelectivityEstimate> EstimateXPath(const ServingSnapshot& snapshot,
+                                          std::string_view xpath) {
+  NameTable names = snapshot.base_names();
+  std::string_view one[] = {xpath};
+  return EstimateStringsOnSnapshot(snapshot, one, &names)[0];
+}
+
+MappedCacheStats LossyStats(const ServingSnapshot& snapshot) {
+  return snapshot.mapped_image()->lossy_layer().cache_stats();
 }
 
 std::vector<Query> Workload(const Synopsis& s, int32_t count) {
@@ -65,14 +82,15 @@ TEST(MappedPropertyTest, EagerAndMappedEstimatesAreIdentical) {
     for (int32_t kappa : {0, 4, 16}) {
       Synopsis synopsis = BuildSynopsis(id, 900, kappa);
       SelectivityEstimator eager(synopsis);
-      MappedEstimator mapped(OpenImage(synopsis));
+      std::shared_ptr<const ServingSnapshot> mapped = ServeImage(synopsis);
       std::vector<Query> queries = Workload(synopsis, 16);
       // Two passes: pass 0 runs against a cold decode cache, pass 1
       // against a warm one — results must not depend on cache state.
       for (int pass = 0; pass < 2; ++pass) {
         for (size_t qi = 0; qi < queries.size(); ++qi) {
           Result<SelectivityEstimate> a = eager.EstimateQuery(queries[qi]);
-          Result<SelectivityEstimate> b = mapped.EstimateQuery(queries[qi]);
+          Result<SelectivityEstimate> b =
+              EstimateOnSnapshot(*mapped, queries[qi]);
           ASSERT_EQ(a.ok(), b.ok())
               << "dataset " << static_cast<int>(id) << " kappa " << kappa
               << " query " << qi << " pass " << pass;
@@ -86,8 +104,9 @@ TEST(MappedPropertyTest, EagerAndMappedEstimatesAreIdentical) {
         }
       }
       // The serving layer never touched the lossless rules.
-      EXPECT_EQ(mapped.image().lossless_layer().cache_stats().decoded_rules,
-                0);
+      EXPECT_EQ(
+          mapped->mapped_image()->lossless_layer().cache_stats().decoded_rules,
+          0);
     }
   }
 }
@@ -95,11 +114,6 @@ TEST(MappedPropertyTest, EagerAndMappedEstimatesAreIdentical) {
 TEST(MappedPropertyTest, KernelCounterTracesAreIdentical) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kXmark, 1200, 8);
   std::shared_ptr<const MappedSynopsis> image = OpenImage(synopsis);
-  // A second image of the same synopsis serves the packed-direct
-  // evaluator, so its decode-cache counters stay untouched by the lazy
-  // provider above and the direct path's "never decodes into the cache"
-  // claim can be asserted exactly.
-  std::shared_ptr<const MappedSynopsis> direct_image = OpenImage(synopsis);
   std::vector<Query> queries = Workload(synopsis, 12);
   const SynopsisEvalCache& cache = synopsis.eval_cache();
   CompiledQueryCache compile_cache;
@@ -114,96 +128,40 @@ TEST(MappedPropertyTest, KernelCounterTracesAreIdentical) {
       GrammarEvaluator eager(&cache, &cq, &synopsis.label_maps(), mode);
       GrammarEvaluator lazy(&image->serving_provider(), &cq,
                             &image->label_maps(), mode);
-      DirectRuleProvider direct_rules(&direct_image->lossy_layer());
-      GrammarEvaluator direct(&direct_rules, &cq,
-                              &direct_image->label_maps(), mode);
       // Cold mapped cache on the first query, warm later — the trace must
       // be independent of that.
       GrammarEvalResult a = eager.Evaluate();
       GrammarEvalResult b = lazy.Evaluate();
-      GrammarEvalResult c = direct.Evaluate();
       ASSERT_TRUE(a.status.ok());
       ASSERT_TRUE(b.status.ok()) << b.status.ToString();
-      ASSERT_TRUE(c.status.ok()) << c.status.ToString();
-      auto check = [&](const GrammarEvalResult& x, const char* path) {
-        EXPECT_EQ(a.accepted, x.accepted) << path << " query " << qi;
-        EXPECT_EQ(a.count, x.count) << path << " query " << qi;
-        EXPECT_EQ(a.sigma_entries, x.sigma_entries) << path << " query " << qi;
-        EXPECT_EQ(a.distinct_states, x.distinct_states)
-            << path << " query " << qi;
-        EXPECT_EQ(a.memo_probes, x.memo_probes) << path << " query " << qi;
-        EXPECT_EQ(a.memo_hits, x.memo_hits) << path << " query " << qi;
-        EXPECT_EQ(a.intern_probes, x.intern_probes) << path << " query " << qi;
-        EXPECT_EQ(a.intern_hits, x.intern_hits) << path << " query " << qi;
-        EXPECT_EQ(a.pool_pairs, x.pool_pairs) << path << " query " << qi;
-        EXPECT_EQ(a.arena_bytes, x.arena_bytes) << path << " query " << qi;
-      };
-      check(b, "lazy");
-      check(c, "direct");
-    }
-  }
-  // The entire direct workload ran without a single shared-cache decode.
-  MappedCacheStats direct_lossy = direct_image->lossy_layer().cache_stats();
-  EXPECT_EQ(direct_lossy.decoded_rules, 0);
-  EXPECT_EQ(direct_lossy.resident_bytes, 0);
-  EXPECT_GT(direct_lossy.direct_decodes, 0);
-}
-
-TEST(MappedPropertyTest, DirectPathMatchesEagerAndDecoded) {
-  const DatasetId kDatasets[] = {DatasetId::kXmark, DatasetId::kDblp,
-                                 DatasetId::kCatalog};
-  for (DatasetId id : kDatasets) {
-    for (int32_t kappa : {0, 4, 16}) {
-      Synopsis synopsis = BuildSynopsis(id, 900, kappa);
-      SelectivityEstimator eager(synopsis);
-      MappedEstimator decoded(OpenImage(synopsis));
-      MappedEstimator direct(OpenImage(synopsis));
-      direct.set_direct(true);
-      std::vector<Query> queries = Workload(synopsis, 16);
-      for (int pass = 0; pass < 2; ++pass) {
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          Result<SelectivityEstimate> a = eager.EstimateQuery(queries[qi]);
-          Result<SelectivityEstimate> b = decoded.EstimateQuery(queries[qi]);
-          Result<SelectivityEstimate> c = direct.EstimateQuery(queries[qi]);
-          ASSERT_EQ(a.ok(), b.ok());
-          ASSERT_EQ(a.ok(), c.ok())
-              << "dataset " << static_cast<int>(id) << " kappa " << kappa
-              << " query " << qi << " pass " << pass;
-          if (!a.ok()) continue;
-          EXPECT_EQ(a.value().lower, c.value().lower)
-              << "dataset " << static_cast<int>(id) << " kappa " << kappa
-              << " query " << qi << " pass " << pass;
-          EXPECT_EQ(a.value().upper, c.value().upper)
-              << "dataset " << static_cast<int>(id) << " kappa " << kappa
-              << " query " << qi << " pass " << pass;
-          EXPECT_EQ(b.value().lower, c.value().lower);
-          EXPECT_EQ(b.value().upper, c.value().upper);
-        }
-      }
-      // The direct estimator's image never materialized a cache entry —
-      // the packed-direct headline: cold start to first query with
-      // decoded_rules == 0.
-      EXPECT_EQ(direct.image().Stats().decoded_rules(), 0);
-      EXPECT_GT(direct.image().lossy_layer().cache_stats().direct_decodes, 0);
-      // The shared-cache estimator did decode (same queries, same image
-      // format) — the two modes differ only in where decodes land.
-      EXPECT_GT(decoded.image().Stats().decoded_rules(), 0);
+      EXPECT_EQ(a.accepted, b.accepted) << "query " << qi;
+      EXPECT_EQ(a.count, b.count) << "query " << qi;
+      EXPECT_EQ(a.sigma_entries, b.sigma_entries) << "query " << qi;
+      EXPECT_EQ(a.distinct_states, b.distinct_states) << "query " << qi;
+      EXPECT_EQ(a.memo_probes, b.memo_probes) << "query " << qi;
+      EXPECT_EQ(a.memo_hits, b.memo_hits) << "query " << qi;
+      EXPECT_EQ(a.intern_probes, b.intern_probes) << "query " << qi;
+      EXPECT_EQ(a.intern_hits, b.intern_hits) << "query " << qi;
+      EXPECT_EQ(a.pool_pairs, b.pool_pairs) << "query " << qi;
+      EXPECT_EQ(a.arena_bytes, b.arena_bytes) << "query " << qi;
     }
   }
 }
 
 TEST(MappedPropertyTest, BatchMatchesSequentialAndThreadCounts) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kDblp, 1000, 6);
-  MappedEstimator mapped(OpenImage(synopsis));
+  std::shared_ptr<const ServingSnapshot> mapped = ServeImage(synopsis);
   SelectivityEstimator eager(synopsis);
   std::vector<std::string_view> xpaths = {
       "//article//author", "/dblp/article", "//author", "//*",
       "//article[.//author]//title", "//nosuchlabel", "not a query ((",
   };
+  NameTable names = mapped->base_names();
+  ThreadPool pool(4);
   std::vector<Result<SelectivityEstimate>> seq =
-      mapped.EstimateBatch(std::span<const std::string_view>(xpaths), 1);
+      EstimateStringsOnSnapshot(*mapped, xpaths, &names, 1);
   std::vector<Result<SelectivityEstimate>> par =
-      mapped.EstimateBatch(std::span<const std::string_view>(xpaths), 4);
+      EstimateStringsOnSnapshot(*mapped, xpaths, &names, 4, &pool);
   std::vector<Result<SelectivityEstimate>> ref =
       eager.EstimateBatch(std::span<const std::string_view>(xpaths), 1);
   ASSERT_EQ(seq.size(), xpaths.size());
@@ -226,10 +184,11 @@ TEST(MappedPropertyTest, BatchMatchesSequentialAndThreadCounts) {
 
 TEST(MappedTest, LosslessLayerStaysColdAndDecodesStayLazy) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kXmark, 1500, 12);
-  MappedEstimator mapped(OpenImage(synopsis));
-  ASSERT_TRUE(mapped.Estimate("//listitem//keyword").ok());
-  MappedCacheStats lossy = mapped.cache_stats();
-  MappedCacheStats lossless = mapped.image().lossless_layer().cache_stats();
+  std::shared_ptr<const ServingSnapshot> mapped = ServeImage(synopsis);
+  ASSERT_TRUE(EstimateXPath(*mapped, "//listitem//keyword").ok());
+  MappedCacheStats lossy = LossyStats(*mapped);
+  MappedCacheStats lossless =
+      mapped->mapped_image()->lossless_layer().cache_stats();
   EXPECT_EQ(lossless.decoded_rules, 0);
   EXPECT_EQ(lossless.misses, 0);
   EXPECT_GT(lossy.decoded_rules, 0);
@@ -240,47 +199,48 @@ TEST(MappedTest, LosslessLayerStaysColdAndDecodesStayLazy) {
   EXPECT_LT(decoded, total);
   EXPECT_GT(lossy.resident_bytes, 0);
   // A repeat query is served from the cache: decode count is unchanged.
-  ASSERT_TRUE(mapped.Estimate("//listitem//keyword").ok());
-  EXPECT_EQ(mapped.cache_stats().decoded_rules, lossy.decoded_rules);
-  EXPECT_GT(mapped.cache_stats().hits, lossy.hits);
+  ASSERT_TRUE(EstimateXPath(*mapped, "//listitem//keyword").ok());
+  EXPECT_EQ(LossyStats(*mapped).decoded_rules, lossy.decoded_rules);
+  EXPECT_GT(LossyStats(*mapped).hits, lossy.hits);
 }
 
 TEST(MappedTest, UnsatisfiableQueriesDecodeNothing) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kCatalog, 800, 5);
-  MappedEstimator mapped(OpenImage(synopsis));
+  std::shared_ptr<const ServingSnapshot> mapped = ServeImage(synopsis);
   // The parent of a document element is the virtual root, which only the
   // wildcard test matches — the rewrite proves this shape empty, so no
   // bound evaluation (and hence no rule decode) ever runs.
-  Result<SelectivityEstimate> r = mapped.Estimate("/catalog/parent::item");
+  Result<SelectivityEstimate> r =
+      EstimateXPath(*mapped, "/catalog/parent::item");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().lower, 0);
   EXPECT_EQ(r.value().upper, 0);
-  EXPECT_EQ(mapped.cache_stats().decoded_rules, 0);
+  EXPECT_EQ(LossyStats(*mapped).decoded_rules, 0);
 }
 
 // --- Residency accounting & eviction -------------------------------------
 
 TEST(MappedTest, ResidentBytesAccountingIsExact) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kDblp, 1000, 6);
-  MappedEstimator mapped(OpenImage(synopsis));
-  ASSERT_TRUE(mapped.Estimate("//article//author").ok());
-  MappedCacheStats lossy = mapped.cache_stats();
+  std::shared_ptr<const ServingSnapshot> mapped = ServeImage(synopsis);
+  ASSERT_TRUE(EstimateXPath(*mapped, "//article//author").ok());
+  MappedCacheStats lossy = LossyStats(*mapped);
   EXPECT_GT(lossy.decoded_rules, 0);
   EXPECT_GT(lossy.resident_bytes, 0);
   // The audit recounts every decoded slot's exact footprint —
   // sizeof(MappedDecodedRule) + the flat form's capacity-based HeapBytes —
   // and cross-checks both counters. Any drift (a slot whose vectors grew
   // after install, a missed charge) fails here.
-  Status audit = mapped.image().lossy_layer().AuditDecodeCache();
+  Status audit = mapped->mapped_image()->lossy_layer().AuditDecodeCache();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
-  audit = mapped.image().lossless_layer().AuditDecodeCache();
+  audit = mapped->mapped_image()->lossless_layer().AuditDecodeCache();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
 TEST(MappedTest, FirstQueryDecodesOnlyReachableRules) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kXmark, 1500, 12);
-  MappedEstimator mapped(OpenImage(synopsis));
-  const MappedSynopsis::Layer& lossy = mapped.image().lossy_layer();
+  std::shared_ptr<const ServingSnapshot> mapped = ServeImage(synopsis);
+  const MappedSynopsis::Layer& lossy = mapped->mapped_image()->lossy_layer();
   const int32_t reachable = lossy.ReachableRuleCount();
   ASSERT_GT(reachable, 0);
   ASSERT_LE(reachable, lossy.rule_count());
@@ -288,21 +248,22 @@ TEST(MappedTest, FirstQueryDecodesOnlyReachableRules) {
   // start rule — and nothing else. Rules the directory stores but the
   // start rule cannot reach must never decode, however wholesale the
   // first query is.
-  ASSERT_TRUE(mapped.Estimate("//*").ok());
-  EXPECT_EQ(mapped.cache_stats().decoded_rules, reachable);
+  ASSERT_TRUE(EstimateXPath(*mapped, "//*").ok());
+  EXPECT_EQ(LossyStats(*mapped).decoded_rules, reachable);
   // Further queries stay within the reachable set by construction.
-  ASSERT_TRUE(mapped.Estimate("//listitem//keyword").ok());
-  EXPECT_EQ(mapped.cache_stats().decoded_rules, reachable);
+  ASSERT_TRUE(EstimateXPath(*mapped, "//listitem//keyword").ok());
+  EXPECT_EQ(LossyStats(*mapped).decoded_rules, reachable);
 }
 
 TEST(MappedTest, BudgetEvictionRedecodesBitIdentically) {
   Synopsis synopsis = BuildSynopsis(DatasetId::kXmark, 1200, 8);
   std::shared_ptr<const MappedSynopsis> image = OpenImage(synopsis);
-  MappedEstimator mapped(image);
+  std::shared_ptr<const ServingSnapshot> mapped =
+      ServingSnapshot::FromMapped(image, 1);
   std::vector<Query> queries = Workload(synopsis, 12);
   std::span<const Query> span(queries);
   std::vector<Result<SelectivityEstimate>> warm_run =
-      mapped.EstimateBatch(span, 1);
+      EstimateBatchOnSnapshot(*mapped, span);
   MappedSynopsisStats warm = image->Stats();
   ASSERT_GT(warm.resident_bytes(), 0);
 
@@ -327,7 +288,7 @@ TEST(MappedTest, BudgetEvictionRedecodesBitIdentically) {
 
   // Re-decoding evicted slots reproduces the exact same estimates.
   std::vector<Result<SelectivityEstimate>> again =
-      mapped.EstimateBatch(span, 1);
+      EstimateBatchOnSnapshot(*mapped, span);
   ASSERT_EQ(again.size(), warm_run.size());
   for (size_t i = 0; i < warm_run.size(); ++i) {
     ASSERT_EQ(warm_run[i].ok(), again[i].ok()) << "query " << i;
@@ -349,10 +310,11 @@ TEST(MappedTest, FileRoundTripThroughPackAndOpen) {
   ASSERT_TRUE(PackSynopsisToFile(synopsis, path).ok());
   MappedOpenOptions options;
   options.verify_checksum = true;
-  Result<MappedEstimator> mapped = MappedEstimator::Open(path, options);
+  Result<std::unique_ptr<MappedSynopsis>> mapped =
+      MappedSynopsis::Open(path, options);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_TRUE(VerifyMappedImage(mapped.value().image()).ok());
-  Result<Synopsis> thawed = mapped.value().image().Thaw();
+  ASSERT_TRUE(VerifyMappedImage(*mapped.value()).ok());
+  Result<Synopsis> thawed = mapped.value()->Thaw();
   ASSERT_TRUE(thawed.ok()) << thawed.status().ToString();
   EXPECT_TRUE(CompareGrammars(thawed.value().lossy(), synopsis.lossy()).ok());
   EXPECT_TRUE(

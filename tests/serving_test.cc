@@ -4,15 +4,12 @@
 // Serving-layer coverage: snapshot unification of the eager and mapped
 // forms, catalog publish/acquire/remove lifecycle, the lock-free reader
 // fast-path audit, version attribution, the fresh-label compiled-cache
-// bypass, the async batch front (affinity, stats, deterministic
-// backpressure rejection), the RCU cell's retire/reclaim lifecycle, the
-// thread pool's tag accounting, and the serving-catalog verifier.
+// bypass, the RCU cell's retire/reclaim lifecycle, and the
+// serving-catalog verifier.
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -22,14 +19,11 @@
 #include "data/generator.h"
 #include "estimator/synopsis.h"
 #include "query/parser.h"
-#include "serving/batch_front.h"
 #include "serving/catalog.h"
 #include "serving/snapshot.h"
 #include "storage/mapped.h"
 #include "verify/verify.h"
-#include "xmlsel/bounded_queue.h"
 #include "xmlsel/rcu.h"
-#include "xmlsel/thread_pool.h"
 
 namespace xmlsel {
 namespace {
@@ -266,102 +260,6 @@ TEST(ServingCatalogTest, DecodeBudgetCapsResidencyAcrossTenants) {
   EXPECT_TRUE(audit.ok()) << audit.ToString();
 }
 
-TEST(ServingFrontTest, SubmittedBatchesCompleteWithWarmLaneAffinity) {
-  ServingFixture f = ServingFixture::Make();
-  ServingCatalog catalog(4);
-  catalog.PublishSynopsis("docs", f.synopsis);
-  ThreadPool pool(2);
-  ServingFront front(&catalog, &pool);
-  EXPECT_EQ(front.lane_count(), catalog.shard_count());
-  EXPECT_EQ(front.LaneIndex("docs"), catalog.ShardIndex("docs"));
-
-  std::vector<std::string> xpaths = {"//article", "//article/author"};
-  std::vector<BatchFuture> futures;
-  for (int i = 0; i < 16; ++i) {
-    auto fut = front.Submit("docs", xpaths);
-    ASSERT_TRUE(fut.ok());
-    futures.push_back(fut.value());
-  }
-  auto reference = catalog.EstimateStrings(
-      "docs", std::vector<std::string_view>{"//article", "//article/author"});
-  ASSERT_TRUE(reference.ok());
-  for (const BatchFuture& fut : futures) {
-    auto outcome = fut.Wait();
-    ASSERT_TRUE(outcome.ok());
-    EXPECT_EQ(outcome.value().snapshot_version, 1u);
-    ASSERT_EQ(outcome.value().results.size(), 2u);
-    for (size_t i = 0; i < 2; ++i) {
-      ASSERT_TRUE(outcome.value().results[i].ok());
-      EXPECT_EQ(outcome.value().results[i].value().lower,
-                reference.value().results[i].value().lower);
-      EXPECT_EQ(outcome.value().results[i].value().upper,
-                reference.value().results[i].value().upper);
-    }
-  }
-  front.Drain();
-  FrontStats fs = front.Stats();
-  EXPECT_EQ(fs.submitted, 16);
-  EXPECT_EQ(fs.completed, 16);
-  EXPECT_EQ(fs.rejected, 0);
-  EXPECT_EQ(fs.queue_depth, 0);
-  // All 16 batches rode one lane; its tag shows up in the pool's books.
-  bool found_lane_tag = false;
-  for (const auto& [tag, stats] : pool.TagStats()) {
-    if (tag.rfind("lane-", 0) == 0 && stats.tasks > 0) found_lane_tag = true;
-  }
-  EXPECT_TRUE(found_lane_tag);
-  EXPECT_EQ(pool.QueueDepth(), 0);
-}
-
-TEST(ServingFrontTest, UnknownTenantSurfacesAsNotFoundPerBatch) {
-  ServingFixture f = ServingFixture::Make();
-  ServingCatalog catalog(2);
-  catalog.PublishSynopsis("real", f.synopsis);
-  ThreadPool pool(1);
-  ServingFront front(&catalog, &pool);
-  auto fut = front.Submit("ghost", {"//article"});
-  ASSERT_TRUE(fut.ok());
-  auto outcome = fut.value().Wait();
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kNotFound);
-}
-
-TEST(ServingFrontTest, RejectPolicySurfacesResourceExhaustedDeterministically) {
-  ServingFixture f = ServingFixture::Make();
-  ServingCatalog catalog(1);
-  catalog.PublishSynopsis("docs", f.synopsis);
-  ThreadPool pool(1);
-  // Wedge the pool's only worker so no drain task can run, making the
-  // queue state deterministic.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  });
-
-  FrontOptions options;
-  options.queue_capacity = 1;
-  options.block_on_full = false;
-  ServingFront rejecting(&catalog, &pool, options);
-  auto first = rejecting.Submit("docs", {"//article"});
-  ASSERT_TRUE(first.ok());
-  auto second = rejecting.Submit("docs", {"//article"});
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(rejecting.Stats().rejected, 1);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  auto outcome = first.value().Wait();
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_TRUE(outcome.value().results[0].ok());
-}
-
 TEST(RcuCellTest, PublishRetireReclaimLifecycle) {
   RcuCell<int> cell;
   EXPECT_FALSE(cell.Read());
@@ -391,40 +289,6 @@ TEST(RcuCellTest, PublishRetireReclaimLifecycle) {
   cell.Reclaim();
   EXPECT_EQ(*survivor, 2);
   EXPECT_FALSE(cell.Read());
-}
-
-TEST(BoundedQueueTest, TryPushRejectsWhenFullAndPopMakesRoom) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  EXPECT_EQ(q.size(), 2u);
-  int out = 0;
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(q.TryPush(3));
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_TRUE(q.TryPop(&out));
-  EXPECT_EQ(out, 3);
-  EXPECT_FALSE(q.TryPop(&out));
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(ThreadPoolTest, TagStatsAttributeTasksAndQueueDepthDrains) {
-  ThreadPool pool(2);
-  for (int i = 0; i < 5; ++i) pool.Submit([] {}, "alpha");
-  for (int i = 0; i < 3; ++i) pool.Submit([] {}, "beta");
-  pool.Submit([] {});  // untagged: no accounting
-  pool.Wait();
-  EXPECT_EQ(pool.QueueDepth(), 0);
-  int64_t alpha = 0, beta = 0;
-  for (const auto& [tag, stats] : pool.TagStats()) {
-    if (tag == "alpha") alpha = stats.tasks;
-    if (tag == "beta") beta = stats.tasks;
-    EXPECT_GE(stats.seconds, 0.0);
-  }
-  EXPECT_EQ(alpha, 5);
-  EXPECT_EQ(beta, 3);
 }
 
 }  // namespace

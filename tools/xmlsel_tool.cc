@@ -25,21 +25,29 @@
 //       Multi-tenant serving: publish each file into the sharded catalog
 //       (.synopsis images are mmap-served with lazy decode, anything else
 //       is parsed as XML and served eagerly), then read "tenant xpath"
-//       lines from stdin, estimate them through the async batch front,
+//       lines from stdin until EOF, estimate each tenant's lines as one
+//       batch on a shared thread pool, print the answers in input order,
 //       and report per-tenant versions, cache stats, and residency.
 //       --memory-budget caps the summed decode-cache residency of all
 //       mapped tenants: the catalog evicts decoded rules (largest images
 //       first, CLOCK within each) back under the budget on every publish
 //       and before the final report, and the report includes the
 //       catalog-wide residency and eviction counters.
+//
+// Numeric arguments (kappa, element counts, byte budgets) must be whole
+// decimal numbers in range; anything else is a usage error (exit 2).
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,11 +55,10 @@
 #include "data/fb_index.h"
 #include "data/generator.h"
 #include "estimator/estimator.h"
-#include "estimator/mapped_estimator.h"
 #include "query/parser.h"
 #include "query/rewrite.h"
-#include "serving/batch_front.h"
 #include "serving/catalog.h"
+#include "serving/snapshot.h"
 #include "storage/mapped.h"
 #include "verify/verify.h"
 #include "xml/parser.h"
@@ -76,6 +83,29 @@ int Usage(const char* error) {
                "<tenant=file> [tenant=file ...]\n"
                "      (then \"tenant xpath\" lines on stdin)\n");
   return 2;
+}
+
+/// Parses all of `text` as a decimal number in [lo, hi]. Signs, trailing
+/// characters, overflow and out-of-range values all fail.
+template <typename T>
+bool ParseNumber(const char* text, T lo, T hi, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+constexpr char kBadKappa[] = "kappa wants a non-negative integer";
+
+/// Reads the optional kappa argument `argv[index]` (0 when absent).
+bool ParseKappa(int argc, char** argv, int index, int* kappa) {
+  *kappa = 0;
+  return argc <= index ||
+         ParseNumber(argv[index], 0, std::numeric_limits<int>::max(), kappa);
 }
 
 xmlsel::Result<xmlsel::Document> Load(const char* path) {
@@ -229,14 +259,21 @@ int Pack(const char* xml_path, const char* out_path, int kappa) {
 int ServeFile(const char* syn_path, char** xpaths, int count) {
   xmlsel::MappedOpenOptions options;
   options.verify_checksum = true;
-  auto est = xmlsel::MappedEstimator::Open(syn_path, options);
-  if (!est.ok()) {
-    std::fprintf(stderr, "%s\n", est.status().ToString().c_str());
+  auto image = xmlsel::MappedSynopsis::Open(syn_path, options);
+  if (!image.ok()) {
+    std::fprintf(stderr, "%s\n", image.status().ToString().c_str());
     return 1;
   }
+  auto snapshot = xmlsel::ServingSnapshot::FromMapped(
+      std::shared_ptr<const xmlsel::MappedSynopsis>(std::move(image).value()),
+      1);
+  std::vector<std::string_view> queries(xpaths, xpaths + count);
+  xmlsel::NameTable scratch = snapshot->base_names();
+  std::vector<xmlsel::Result<xmlsel::SelectivityEstimate>> results =
+      xmlsel::EstimateStringsOnSnapshot(*snapshot, queries, &scratch);
   int failures = 0;
   for (int i = 0; i < count; ++i) {
-    auto r = est.value().Estimate(xpaths[i]);
+    const auto& r = results[static_cast<size_t>(i)];
     if (!r.ok()) {
       std::fprintf(stderr, "%s: %s\n", xpaths[i],
                    r.status().ToString().c_str());
@@ -247,7 +284,8 @@ int ServeFile(const char* syn_path, char** xpaths, int count) {
                 static_cast<long long>(r.value().lower),
                 static_cast<long long>(r.value().upper));
   }
-  xmlsel::MappedCacheStats stats = est.value().cache_stats();
+  xmlsel::MappedCacheStats stats =
+      snapshot->mapped_image()->lossy_layer().cache_stats();
   std::printf("decode cache: %lld/%lld rules decoded, %lld bytes resident, "
               "%lld hits / %lld misses\n",
               static_cast<long long>(stats.decoded_rules),
@@ -267,9 +305,8 @@ int Serve(char** specs, int count) {
   xmlsel::ServingCatalog catalog;
   int64_t budget = 0;
   if (count > 0 && !std::strncmp(specs[0], "--memory-budget=", 16)) {
-    char* end = nullptr;
-    budget = std::strtoll(specs[0] + 16, &end, 10);
-    if (end == specs[0] + 16 || *end != '\0' || budget <= 0) {
+    if (!ParseNumber<int64_t>(specs[0] + 16, 1,
+                              std::numeric_limits<int64_t>::max(), &budget)) {
       return Usage("--memory-budget wants a positive byte count");
     }
     catalog.SetDecodeBudget(budget);
@@ -313,52 +350,56 @@ int Serve(char** specs, int count) {
     return 1;
   }
 
-  xmlsel::ThreadPool pool(xmlsel::DefaultThreadCount());
-  xmlsel::ServingFront front(&catalog, &pool);
-  struct Pending {
+  // stdin is the only producer and nothing is reported before EOF, so
+  // read every request first and estimate each tenant's lines as one
+  // batch. Lines without a query after the tenant are skipped.
+  struct Request {
     std::string tenant;
     std::string xpath;
-    xmlsel::BatchFuture future;
+    size_t slot = 0;  ///< position within the tenant's batch
   };
-  std::vector<Pending> pending;
+  std::vector<Request> requests;
   std::string line;
   while (std::getline(std::cin, line)) {
     size_t sep = line.find_first_of(" \t");
-    if (line.empty() || sep == std::string::npos) continue;
-    std::string tenant = line.substr(0, sep);
-    std::string xpath = line.substr(line.find_first_not_of(" \t", sep));
-    auto future = front.Submit(tenant, {xpath});
-    if (!future.ok()) {
-      std::fprintf(stderr, "%s: %s\n", tenant.c_str(),
-                   future.status().ToString().c_str());
-      continue;
-    }
-    pending.push_back(
-        Pending{std::move(tenant), std::move(xpath), future.value()});
+    if (sep == std::string::npos) continue;
+    size_t start = line.find_first_not_of(" \t", sep);
+    if (start == std::string::npos) continue;
+    requests.push_back({line.substr(0, sep), line.substr(start)});
+  }
+  std::map<std::string, std::vector<std::string_view>> batches;
+  for (Request& r : requests) {
+    std::vector<std::string_view>& batch = batches[r.tenant];
+    r.slot = batch.size();
+    batch.push_back(r.xpath);
+  }
+  xmlsel::ThreadPool pool(xmlsel::DefaultThreadCount());
+  std::map<std::string, xmlsel::Result<xmlsel::BatchOutcome>> outcomes;
+  for (const auto& [tenant, xpaths] : batches) {
+    outcomes.emplace(tenant, catalog.EstimateStrings(tenant, xpaths,
+                                                     pool.size(), &pool));
   }
   int failures = 0;
-  for (const Pending& p : pending) {
-    auto outcome = p.future.Wait();
-    if (!outcome.ok()) {
-      std::fprintf(stderr, "%s %s: %s\n", p.tenant.c_str(), p.xpath.c_str(),
-                   outcome.status().ToString().c_str());
+  for (const Request& r : requests) {
+    const xmlsel::Result<xmlsel::BatchOutcome>& outcome =
+        outcomes.at(r.tenant);
+    xmlsel::Status error = outcome.ok()
+                               ? outcome.value().results[r.slot].status()
+                               : outcome.status();
+    if (!error.ok()) {
+      std::fprintf(stderr, "%s %s: %s\n", r.tenant.c_str(), r.xpath.c_str(),
+                   error.ToString().c_str());
       ++failures;
       continue;
     }
-    const auto& r = outcome.value().results[0];
-    if (!r.ok()) {
-      std::fprintf(stderr, "%s %s: %s\n", p.tenant.c_str(), p.xpath.c_str(),
-                   r.status().ToString().c_str());
-      ++failures;
-      continue;
-    }
-    std::printf("%s %s -> [%lld, %lld] (v%llu)\n", p.tenant.c_str(),
-                p.xpath.c_str(), static_cast<long long>(r.value().lower),
-                static_cast<long long>(r.value().upper),
+    const xmlsel::SelectivityEstimate& est =
+        outcome.value().results[r.slot].value();
+    std::printf("%s %s -> [%lld, %lld] (v%llu)\n", r.tenant.c_str(),
+                r.xpath.c_str(), static_cast<long long>(est.lower),
+                static_cast<long long>(est.upper),
                 static_cast<unsigned long long>(
                     outcome.value().snapshot_version));
   }
-  front.Drain();
 
   // With a budget set, bring residency back under it before the report
   // (stdin-driven estimation re-decodes freely between publishes).
@@ -428,29 +469,40 @@ int Verify(const char* path, int kappa) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage("missing subcommand");
+  int kappa = 0;
   if (!std::strcmp(argv[1], "stats")) {
     if (argc < 3) return Usage("stats needs <file.xml>");
     return Stats(argv[2]);
   }
   if (!std::strcmp(argv[1], "compress")) {
     if (argc < 3) return Usage("compress needs <file.xml>");
-    return Compress(argv[2], argc > 3 ? std::atoi(argv[3]) : 0);
+    if (!ParseKappa(argc, argv, 3, &kappa)) return Usage(kBadKappa);
+    return Compress(argv[2], kappa);
   }
   if (!std::strcmp(argv[1], "estimate")) {
     if (argc < 4) return Usage("estimate needs <file.xml> <xpath>");
-    return Estimate(argv[2], argv[3], argc > 4 ? std::atoi(argv[4]) : 0);
+    if (!ParseKappa(argc, argv, 4, &kappa)) return Usage(kBadKappa);
+    return Estimate(argv[2], argv[3], kappa);
   }
   if (!std::strcmp(argv[1], "generate")) {
     if (argc < 4) return Usage("generate needs <dataset> <elements>");
-    return Generate(argv[2], std::atoll(argv[3]));
+    // Node ids are 32-bit, which bounds the document size.
+    int64_t elements = 0;
+    if (!ParseNumber<int64_t>(argv[3], 1, std::numeric_limits<int32_t>::max(),
+                              &elements)) {
+      return Usage("generate wants a positive element count");
+    }
+    return Generate(argv[2], elements);
   }
   if (!std::strcmp(argv[1], "verify")) {
     if (argc < 3) return Usage("verify needs <file.xml>");
-    return Verify(argv[2], argc > 3 ? std::atoi(argv[3]) : 0);
+    if (!ParseKappa(argc, argv, 3, &kappa)) return Usage(kBadKappa);
+    return Verify(argv[2], kappa);
   }
   if (!std::strcmp(argv[1], "pack")) {
     if (argc < 4) return Usage("pack needs <file.xml> <out.synopsis>");
-    return Pack(argv[2], argv[3], argc > 4 ? std::atoi(argv[4]) : 0);
+    if (!ParseKappa(argc, argv, 4, &kappa)) return Usage(kBadKappa);
+    return Pack(argv[2], argv[3], kappa);
   }
   if (!std::strcmp(argv[1], "serve-file")) {
     if (argc < 4) return Usage("serve-file needs <file.synopsis> <xpath>");
