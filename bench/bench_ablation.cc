@@ -42,6 +42,9 @@ void ChildMapAblation() {
   synopsis.RecomputeLossy(synopsis.lossless().rule_count() / 2);
 
   auto eval = [&](bool with_maps) {
+    const LabelMaps* maps = with_maps ? &synopsis.label_maps() : nullptr;
+    SynopsisEvalCache rules =
+        SynopsisEvalCache::Build(&synopsis.lossy(), maps);
     double lower_err = 0, upper_err = 0, raw_upper_err = 0;
     int64_t n = 0;
     for (const Query& q : queries) {
@@ -49,11 +52,8 @@ void ChildMapAblation() {
       if (exact == 0) continue;
       Result<CompiledQuery> cq = CompiledQuery::Compile(q);
       XMLSEL_CHECK(cq.ok());
-      const LabelMaps* maps = with_maps ? &synopsis.label_maps() : nullptr;
-      GrammarEvaluator lo(&synopsis.lossy(), &cq.value(), maps,
-                          BoundMode::kLower);
-      GrammarEvaluator hi(&synopsis.lossy(), &cq.value(), maps,
-                          BoundMode::kUpper);
+      GrammarEvaluator lo(&rules, &cq.value(), maps, BoundMode::kLower);
+      GrammarEvaluator hi(&rules, &cq.value(), maps, BoundMode::kUpper);
       int64_t l = lo.Evaluate().count;
       int64_t u = hi.Evaluate().count;
       int64_t raw = u;

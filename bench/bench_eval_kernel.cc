@@ -144,9 +144,8 @@ void BM_GrammarEvalCold(benchmark::State& state) {
   XMLSEL_CHECK(cq.ok());
   GrammarEvalResult last;
   for (auto _ : state) {
-    GrammarEvaluator eval(&f->synopsis.lossy(), &cq.value(),
-                          &f->synopsis.label_maps(), BoundMode::kLower,
-                          &f->synopsis.eval_cache());
+    GrammarEvaluator eval(&f->synopsis.eval_cache(), &cq.value(),
+                          &f->synopsis.label_maps(), BoundMode::kLower);
     last = eval.Evaluate();
     benchmark::DoNotOptimize(last.count);
   }
@@ -168,9 +167,8 @@ void BM_GrammarEvalSteadyState(benchmark::State& state) {
   XMLSEL_CHECK(q.ok());
   Result<CompiledQuery> cq = CompiledQuery::Compile(q.value());
   XMLSEL_CHECK(cq.ok());
-  GrammarEvaluator eval(&f->synopsis.lossy(), &cq.value(),
-                        &f->synopsis.label_maps(), BoundMode::kLower,
-                        &f->synopsis.eval_cache());
+  GrammarEvaluator eval(&f->synopsis.eval_cache(), &cq.value(),
+                        &f->synopsis.label_maps(), BoundMode::kLower);
   int64_t cold_count = eval.Evaluate().count;  // fill the σ memo
   int64_t steady_allocs = 0;
   for (auto _ : state) {
@@ -277,9 +275,8 @@ int RunSmoke(const char* out_path) {
 
   // Warm evaluator: the steady-state path must not touch the heap. The
   // evaluator also surfaces the cache counters in its result.
-  GrammarEvaluator eval(&synopsis.lossy(), &probe->lower,
-                        &synopsis.label_maps(), BoundMode::kLower,
-                        &synopsis.eval_cache());
+  GrammarEvaluator eval(&synopsis.eval_cache(), &probe->lower,
+                        &synopsis.label_maps(), BoundMode::kLower);
   eval.SetCompileCacheStats(cache.hits(), cache.misses());
   int64_t cold_count = eval.Evaluate().count;
   constexpr int32_t kEvalRounds = 20;

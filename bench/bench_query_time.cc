@@ -67,7 +67,7 @@ void BM_GrammarCount(benchmark::State& state) {
   const CompiledQuery& cq =
       PrepareLower(f, "//item[./mailbox]//keyword", &hold);
   for (auto _ : state) {
-    GrammarEvaluator eval(&f->synopsis.lossy(), &cq,
+    GrammarEvaluator eval(&f->synopsis.eval_cache(), &cq,
                           &f->synopsis.label_maps(), BoundMode::kLower);
     benchmark::DoNotOptimize(eval.Evaluate().count);
   }
@@ -100,7 +100,7 @@ void BM_BranchingFactor(benchmark::State& state) {
   const CompiledQuery& cq =
       PrepareLower(f, queries[state.range(0) - 1], &hold);
   for (auto _ : state) {
-    GrammarEvaluator eval(&f->synopsis.lossy(), &cq,
+    GrammarEvaluator eval(&f->synopsis.eval_cache(), &cq,
                           &f->synopsis.label_maps(), BoundMode::kLower);
     benchmark::DoNotOptimize(eval.Evaluate().count);
   }
@@ -117,7 +117,7 @@ void BM_FollowingAxes(benchmark::State& state) {
   std::shared_ptr<const PreparedQuery> hold;
   const CompiledQuery& cq = PrepareLower(f, queries[state.range(0)], &hold);
   for (auto _ : state) {
-    GrammarEvaluator eval(&f->synopsis.lossy(), &cq,
+    GrammarEvaluator eval(&f->synopsis.eval_cache(), &cq,
                           &f->synopsis.label_maps(), BoundMode::kLower);
     benchmark::DoNotOptimize(eval.Evaluate().count);
   }

@@ -18,7 +18,8 @@
 //     VmHWM, /proc/self/statm) are measured from a genuinely cold
 //     process. The section also reports the queries-until-parity
 //     crossover: how many warm queries the eager path would need to
-//     amortize its upfront decode (negative = mapped is never overtaken).
+//     amortize its upfront decode (0 = eager is ahead from the first
+//     query, -1 = mapped is never overtaken).
 //
 // --smoke shrinks the fixtures and additionally *gates* the structural
 // claims CI relies on: lazily decoded rules stay strictly below the
@@ -477,13 +478,18 @@ int Run(bool smoke, const char* out_path) {
 
   double cold_start_speedup = eager.total_seconds() / mapped.total_seconds();
   double speedup_vs_build = build.total_seconds() / mapped.total_seconds();
-  // Queries until the eager path amortizes its upfront decode: only
-  // finite when mapped warm queries are actually slower per query.
-  double warm_delta = mapped.warm_query_seconds - eager.warm_query_seconds;
-  double parity = warm_delta > 0
-                      ? (eager.total_seconds() - mapped.total_seconds()) /
-                            warm_delta
-                      : -1.0;
+  // Queries until the eager path amortizes its upfront decode: 0 when
+  // eager is already ahead at the first query, finite when mapped warm
+  // queries are slower per query, else -1 (never).
+  const double upfront = eager.total_seconds() - mapped.total_seconds();
+  const double warm_delta =
+      mapped.warm_query_seconds - eager.warm_query_seconds;
+  double parity = -1.0;
+  if (upfront <= 0) {
+    parity = 0.0;
+  } else if (warm_delta > 0) {
+    parity = upfront / warm_delta;
+  }
   const struct {
     const char* name;
     const ScenarioResult* r;
@@ -522,8 +528,8 @@ int Run(bool smoke, const char* out_path) {
     std::printf("smoke: lazy decode and corruption gates hold\n");
   }
 
-  // --- JSON: embedded verbatim by bench_throughput as the `storage`
-  // section of BENCH_throughput.json (flat object, like bench_serving).
+  // --- JSON: the tracked BENCH_storage.json (flat object, like
+  // bench_serving).
   std::fprintf(f, "{\n");
   std::fprintf(f, "    \"bench\": \"storage\",\n");
   std::fprintf(f, "    \"smoke\": %s,\n", smoke ? "true" : "false");
@@ -588,6 +594,8 @@ int Run(bool smoke, const char* out_path) {
   std::fprintf(f, "      \"peak_rss_delta_ratio\": %.3f,\n",
                static_cast<double>(mapped.rss_delta_bytes) /
                    static_cast<double>(eager.rss_delta_bytes));
+  // queries_until_parity: 0 = eager ahead from the first query,
+  // -1 = mapped never overtaken, else the crossover query count.
   std::fprintf(f, "      \"queries_until_parity\": %.0f\n", parity);
   std::fprintf(f, "    },\n");
   std::fprintf(f, "    \"corruption_rejected\": %s\n",

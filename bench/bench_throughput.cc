@@ -2,18 +2,13 @@
 // SPDX-License-Identifier: Apache-2.0
 //
 // Batch-estimation throughput: aggregate QPS of the concurrent engine at
-// 1/2/4/8 worker threads over an XMark workload, plus the speedup from
-// hoisting query-independent work (rule post-orders, star-root label
-// sets) into the shared SynopsisEvalCache. Emits JSON so the perf
+// 1/2/4/8 worker threads over an XMark workload. Emits JSON so the perf
 // trajectory is tracked across PRs:
 //
-//   ./bench_throughput [output.json] [serving.json] [storage.json]
-//                       (defaults BENCH_throughput.json BENCH_serving.json
-//                        BENCH_storage.json; each bench's JSON, when
-//                        present, is embedded verbatim as the "serving" /
-//                        "storage" section — carrying its own host
-//                        fingerprint, scaling_valid flag, and the
-//                        budget section)
+//   ./bench_throughput [output.json]   (default BENCH_throughput.json)
+//
+// The serving and storage benches write their own files
+// (BENCH_serving.json, BENCH_storage.json); nothing is copied in here.
 //
 // Thread scaling is hardware-bound: on a single-core host all thread
 // counts collapse to ~1×, so the JSON records hardware_concurrency
@@ -34,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -82,55 +76,7 @@ double MeasureBatchSeconds(SelectivityEstimator* est,
   return SecondsSince(t0);
 }
 
-/// Times raw bound evaluations with or without the shared eval cache —
-/// the isolated cache-hoisting win, independent of threading.
-double MeasureEvalSeconds(const Synopsis& synopsis,
-                          const std::vector<CompiledQuery>& compiled,
-                          const SynopsisEvalCache* cache, int32_t rounds) {
-  auto t0 = std::chrono::steady_clock::now();
-  for (int32_t r = 0; r < rounds; ++r) {
-    for (const CompiledQuery& cq : compiled) {
-      GrammarEvaluator lower(&synopsis.lossy(), &cq, &synopsis.label_maps(),
-                             BoundMode::kLower, cache);
-      GrammarEvaluator upper(&synopsis.lossy(), &cq, &synopsis.label_maps(),
-                             BoundMode::kUpper, cache);
-      volatile int64_t sink =
-          lower.Evaluate().count + upper.Evaluate().count;
-      (void)sink;
-    }
-  }
-  return SecondsSince(t0);
-}
-
-/// Embeds another bench's tracked JSON verbatim as the `"<key>"` section,
-/// so one file carries the whole perf trajectory. Each embedded object
-/// keeps its own host fingerprint and scaling_valid stamp. Quietly skipped
-/// when the file is absent (that bench not run yet).
-bool EmbedSection(FILE* f, const char* key, const char* path) {
-  FILE* sf = std::fopen(path, "r");
-  if (sf == nullptr) return false;
-  std::string body;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), sf)) > 0) {
-    body.append(buf, n);
-  }
-  std::fclose(sf);
-  while (!body.empty() &&
-         (body.back() == '\n' || body.back() == ' ' || body.back() == '\r')) {
-    body.pop_back();
-  }
-  if (body.empty() || body.front() != '{' || body.back() != '}') {
-    std::fprintf(stderr, "WARNING: %s is not a JSON object; not embedded\n",
-                 path);
-    return false;
-  }
-  std::fprintf(f, "  \"%s\": %s,\n", key, body.c_str());
-  return true;
-}
-
-int Run(const char* out_path, const char* serving_path,
-        const char* storage_path) {
+int Run(const char* out_path) {
   // Open the output first so a bad path fails before minutes of work.
   FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {
@@ -184,7 +130,9 @@ int Run(const char* out_path, const char* serving_path,
               static_cast<long long>(qcache.size()),
               static_cast<long long>(qcache.hits()), qcache_hit_pct);
 
-  // --- Cache hoisting in isolation (single-thread bound evaluations).
+  // --- Kernel counters of a representative evaluation: aggregate the
+  // first (cold) Evaluate over the workload, and the steady-state
+  // heap-allocation count of a second Evaluate on each warm evaluator.
   std::vector<CompiledQuery> compiled;
   for (const Query& q : queries) {
     Result<RewriteOutcome> rw = RewriteReverseAxes(q);
@@ -195,20 +143,11 @@ int Run(const char* out_path, const char* serving_path,
   }
   const Synopsis& synopsis = est.synopsis();
   const SynopsisEvalCache* cache = &synopsis.eval_cache();
-  MeasureEvalSeconds(synopsis, compiled, cache, 1);  // warm-up
-  double cold = MeasureEvalSeconds(synopsis, compiled, nullptr, kRounds);
-  double hot = MeasureEvalSeconds(synopsis, compiled, cache, kRounds);
-  std::printf("cache hoisting: unhoisted %.3fs, hoisted %.3fs (%.2fx)\n",
-              cold, hot, cold / hot);
-
-  // --- Kernel counters of a representative evaluation: aggregate the
-  // first (cold) Evaluate over the workload, and the steady-state
-  // heap-allocation count of a second Evaluate on each warm evaluator.
   GrammarEvalResult agg;
   int64_t steady_heap_allocs = 0;
   for (const CompiledQuery& cq : compiled) {
-    GrammarEvaluator lower(&synopsis.lossy(), &cq, &synopsis.label_maps(),
-                           BoundMode::kLower, cache);
+    GrammarEvaluator lower(cache, &cq, &synopsis.label_maps(),
+                           BoundMode::kLower);
     GrammarEvalResult cold_res = lower.Evaluate();
     GrammarEvalResult warm_res = lower.Evaluate();
     XMLSEL_CHECK(warm_res.count == cold_res.count);
@@ -265,11 +204,6 @@ int Run(const char* out_path, const char* serving_path,
     std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"cache_hoisting\": {\n");
-  std::fprintf(f, "    \"unhoisted_seconds\": %.4f,\n", cold);
-  std::fprintf(f, "    \"hoisted_seconds\": %.4f,\n", hot);
-  std::fprintf(f, "    \"speedup\": %.3f\n", cold / hot);
-  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"kernel\": {\n");
   std::fprintf(f, "    \"baseline_single_thread_seconds\": %.4f,\n",
                kBaselineSingleThreadSeconds);
@@ -304,12 +238,6 @@ int Run(const char* out_path, const char* serving_path,
                static_cast<long long>(qcache.misses()));
   std::fprintf(f, "    \"compile_cache_hit_pct\": %.1f\n", qcache_hit_pct);
   std::fprintf(f, "  },\n");
-  if (EmbedSection(f, "serving", serving_path)) {
-    std::printf("embedded %s as the \"serving\" section\n", serving_path);
-  }
-  if (EmbedSection(f, "storage", storage_path)) {
-    std::printf("embedded %s as the \"storage\" section\n", storage_path);
-  }
   std::fprintf(f, "  \"verify\": {\n");
   std::fprintf(f, "    \"pipeline_seconds\": %.4f,\n", verify_seconds);
   std::fprintf(f, "    \"layers\": [\n");
@@ -331,7 +259,5 @@ int Run(const char* out_path, const char* serving_path,
 }  // namespace xmlsel
 
 int main(int argc, char** argv) {
-  return xmlsel::Run(argc > 1 ? argv[1] : "BENCH_throughput.json",
-                     argc > 2 ? argv[2] : "BENCH_serving.json",
-                     argc > 3 ? argv[3] : "BENCH_storage.json");
+  return xmlsel::Run(argc > 1 ? argv[1] : "BENCH_throughput.json");
 }

@@ -5,78 +5,6 @@
 
 namespace xmlsel {
 
-std::vector<int32_t> RulePostOrder(const GrammarRule& rule) {
-  std::vector<int32_t> order;
-  if (rule.root == kNullNode) return order;
-  struct Frame {
-    int32_t node;
-    size_t next;
-  };
-  std::vector<Frame> stack = {{rule.root, 0}};
-  while (!stack.empty()) {
-    Frame& f = stack.back();
-    const GrammarNode& n = rule.nodes[static_cast<size_t>(f.node)];
-    bool desc = false;
-    while (f.next < n.children.size()) {
-      int32_t c = n.children[f.next++];
-      if (c != kNullNode) {
-        stack.push_back({c, 0});
-        desc = true;
-        break;
-      }
-    }
-    if (desc) continue;
-    order.push_back(f.node);
-    stack.pop_back();
-  }
-  return order;
-}
-
-std::vector<std::vector<LabelId>> ComputeStarRootLabels(
-    const GrammarRule& r, const LabelMaps* maps) {
-  std::vector<std::vector<LabelId>> roots(r.nodes.size());
-  if (maps == nullptr) return roots;
-  for (const GrammarNode& n : r.nodes) {
-    if (n.kind != GrammarNode::Kind::kTerminal) continue;
-    LabelId a = n.sym;
-    // Star as a first child of an a-element: hidden roots are children
-    // of a. Star as a next sibling of an a-element: hidden roots are
-    // children of any possible parent of a.
-    for (int side = 0; side < 2; ++side) {
-      int32_t c = n.children[static_cast<size_t>(side)];
-      if (c == kNullNode) continue;
-      const GrammarNode& cn = r.nodes[static_cast<size_t>(c)];
-      if (cn.kind != GrammarNode::Kind::kStar) continue;
-      std::vector<bool> allowed(static_cast<size_t>(maps->label_count),
-                                false);
-      if (side == 0) {
-        allowed = maps->child[static_cast<size_t>(a)];
-      } else {
-        for (int32_t p = 0; p < maps->label_count; ++p) {
-          if (!maps->parent[static_cast<size_t>(a)][static_cast<size_t>(p)])
-            continue;
-          for (int32_t b = 0; b < maps->label_count; ++b) {
-            if (maps->child[static_cast<size_t>(p)][static_cast<size_t>(b)])
-              allowed[static_cast<size_t>(b)] = true;
-          }
-        }
-      }
-      std::vector<LabelId>& out = roots[static_cast<size_t>(c)];
-      for (int32_t b = 0; b < maps->label_count; ++b) {
-        if (allowed[static_cast<size_t>(b)]) out.push_back(b);
-      }
-      if (out.empty()) {
-        // No label is possible in this position according to the maps;
-        // keep the empty set (the star then admits no hidden matches).
-        // Mark it as explicitly-empty with a sentinel so Upper() does
-        // not treat it as "unrestricted".
-        out.push_back(-1);
-      }
-    }
-  }
-  return roots;
-}
-
 void AppendFlatPostOrder(std::span<const RuleNodeView> nodes,
                          std::span<const int32_t> children, int32_t root,
                          std::vector<int32_t>* out) {
@@ -111,13 +39,13 @@ void ComputeFlatStarRoots(std::span<const RuleNodeView> nodes,
   begin->clear();
   labels->clear();
   if (maps == nullptr) return;
-  // Same control flow as ComputeStarRootLabels (per-node label vectors,
-  // then flattened) so the two paths emit identical sets in identical
-  // order, including the {-1} "no label possible" sentinel.
   std::vector<std::vector<LabelId>> roots(nodes.size());
   for (const RuleNodeView& n : nodes) {
     if (n.kind != GrammarNode::Kind::kTerminal) continue;
     LabelId a = n.sym;
+    // Star as a first child of an a-element: hidden roots are children
+    // of a. Star as a next sibling of an a-element: hidden roots are
+    // children of any possible parent of a.
     for (int side = 0; side < 2 && side < n.child_count; ++side) {
       int32_t c = children[static_cast<size_t>(n.child_begin + side)];
       if (c == kNullNode) continue;
@@ -141,7 +69,7 @@ void ComputeFlatStarRoots(std::span<const RuleNodeView> nodes,
       for (int32_t b = 0; b < maps->label_count; ++b) {
         if (allowed[static_cast<size_t>(b)]) out.push_back(b);
       }
-      if (out.empty()) out.push_back(-1);
+      if (out.empty()) out.push_back(-1);  // no label possible here
     }
   }
   begin->reserve(nodes.size() + 1);
@@ -177,22 +105,12 @@ SynopsisEvalCache SynopsisEvalCache::Build(const SltGrammar* grammar,
                                            const LabelMaps* maps) {
   SynopsisEvalCache cache;
   cache.grammar_ = grammar;
-  cache.maps_ = maps;
   int32_t rules = grammar->rule_count();
   cache.rules_.resize(static_cast<size_t>(rules));
   for (int32_t i = 0; i < rules; ++i) {
     FlattenRule(grammar->rule(i), maps, &cache.rules_[static_cast<size_t>(i)]);
   }
   return cache;
-}
-
-RuleEvalData LocalRuleProvider::Rule(int32_t rule) const {
-  auto it = entries_.find(rule);
-  if (it == entries_.end()) {
-    it = entries_.emplace(rule, FlatRuleData{}).first;
-    FlattenRule(grammar_->rule(rule), maps_, &it->second);
-  }
-  return it->second.View();
 }
 
 }  // namespace xmlsel

@@ -3,30 +3,28 @@
 //
 // Query-independent precomputation shared by every evaluation over one
 // synopsis. GrammarEvaluator's inner loop needs (a) the post-order of each
-// rule's RHS — one traversal per memoized (rule, states…) key without a
-// cache — and (b) the star-root label sets derived from the grammar and
+// rule's RHS and (b) the star-root label sets derived from the grammar and
 // the label maps. Neither depends on the query, so a SynopsisEvalCache is
 // built once per (grammar, maps) pair and then shared read-only across
 // any number of concurrent evaluator threads.
 //
-// The evaluator consumes rules through the RuleProvider interface in a
-// *flat* form (RuleEvalData): node records plus contiguous child/post-order
-// /star-root arrays, all exposed as spans. The flat form is the common
-// currency of every provider — the eager SynopsisEvalCache/LocalRuleProvider
-// flatten decoded GrammarRules, the mapped decode cache (storage/mapped.h)
-// stores flattened rules in its slots, which its packed cursor
-// (storage/packed_cursor.h) fills straight from a rule's bit-stream
-// without ever materializing a GrammarRule. Because the node
-// ids, walk order, and star-root sets are identical across providers, the
-// evaluator's kernel-counter traces are bit-identical no matter where the
-// rules came from.
+// The evaluator consumes rules only through the RuleProvider interface,
+// in a *flat* form (RuleEvalData): node records plus contiguous
+// child/post-order/star-root arrays, all exposed as spans. The flat form
+// is the common currency of both providers — the eager SynopsisEvalCache
+// flattens in-memory GrammarRules, the mapped decode cache
+// (storage/mapped.h) fills its slots straight from a rule's bit-stream
+// (storage/packed_cursor.h) without ever materializing a GrammarRule.
+// Because the node ids, walk order, and star-root sets are identical
+// across providers, the evaluator's kernel-counter traces are
+// bit-identical no matter where the rules came from. A bare grammar is
+// evaluated through SynopsisEvalCache::Build(&grammar, maps).
 
 #ifndef XMLSEL_AUTOMATON_EVAL_CACHE_H_
 #define XMLSEL_AUTOMATON_EVAL_CACHE_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "grammar/lossy.h"
@@ -34,17 +32,6 @@
 #include "xmlsel/status.h"
 
 namespace xmlsel {
-
-/// Post-order (children before parents) of one rule's RHS nodes.
-std::vector<int32_t> RulePostOrder(const GrammarRule& rule);
-
-/// Root label sets for the star nodes of `rule`, indexed by RHS node id.
-/// Non-star positions get empty vectors. The sentinel {-1} marks a star
-/// whose position admits no label at all according to the maps (distinct
-/// from the empty set, which the upper bound reads as "unrestricted").
-/// `maps` may be null; all sets are then empty (unrestricted).
-std::vector<std::vector<LabelId>> ComputeStarRootLabels(
-    const GrammarRule& rule, const LabelMaps* maps);
 
 /// One RHS node in flat form. `sym` carries the same payload as
 /// GrammarNode::sym (label / star-stats index / callee / param index);
@@ -80,7 +67,7 @@ struct RuleEvalData {
                             static_cast<size_t>(n.child_count));
   }
   /// Root label set of star node `id`; empty = unrestricted, {-1} = no
-  /// label possible (same convention as ComputeStarRootLabels).
+  /// label possible (see ComputeFlatStarRoots).
   std::span<const LabelId> star_roots_of(int32_t id) const {
     if (star_root_begin.empty()) return {};
     const size_t i = static_cast<size_t>(id);
@@ -137,26 +124,30 @@ struct FlatRuleData {
   }
 };
 
-/// Appends the post-order of the flat structure rooted at `root` to
-/// `*out` (⊥ children skipped) — the flat mirror of RulePostOrder, used
-/// by both the flattener below and the packed cursor so every
-/// provider serves an identical walk order.
+/// Appends the post-order (children before parents) of the flat
+/// structure rooted at `root` to `*out` (⊥ children skipped). Used by
+/// both the flattener below and the packed cursor so every provider
+/// serves an identical walk order.
 void AppendFlatPostOrder(std::span<const RuleNodeView> nodes,
                          std::span<const int32_t> children, int32_t root,
                          std::vector<int32_t>* out);
 
-/// Flat mirror of ComputeStarRootLabels: fills the star-root directory
-/// (`begin` gets nodes.size() + 1 offsets) over the flat structure.
-/// `maps == nullptr` leaves both outputs empty (all stars unrestricted).
+/// Fills the star-root directory (`begin` gets nodes.size() + 1 offsets
+/// into `labels`): the root label set of every star node, derived from
+/// the label of the terminal it hangs under. Non-star positions get
+/// empty sets. The sentinel {-1} marks a star whose position admits no
+/// label at all according to the maps (distinct from the empty set,
+/// which the upper bound reads as "unrestricted"). `maps == nullptr`
+/// leaves both outputs empty (all stars unrestricted).
 void ComputeFlatStarRoots(std::span<const RuleNodeView> nodes,
                           std::span<const int32_t> children,
                           const LabelMaps* maps, std::vector<int32_t>* begin,
                           std::vector<LabelId>* labels);
 
-/// Flattens one decoded rule into the evaluator's flat form, preserving
-/// node ids. The result is identical to what the packed cursor
-/// emits for the same rule's bit-stream (verify/mapped_verify.cc checks
-/// this identity rule by rule).
+/// Flattens one in-memory rule into the evaluator's flat form, preserving
+/// node ids. The result is identical to what the packed cursor emits for
+/// the same rule's bit-stream (verify/mapped_verify.cc checks this
+/// identity rule by rule).
 void FlattenRule(const GrammarRule& rule, const LabelMaps* maps,
                  FlatRuleData* out);
 
@@ -181,8 +172,9 @@ class RuleProvider {
 
 /// Immutable per-synopsis cache — the eager RuleProvider. After Build
 /// returns, the cache is safe for unsynchronized concurrent reads; it
-/// holds non-owning pointers to the grammar and maps it was derived from,
-/// so it must be rebuilt (not reused) when either changes or moves.
+/// holds a non-owning pointer to the grammar it was derived from, so it
+/// must be rebuilt (not reused) when the grammar moves or when the
+/// grammar or the maps change.
 class SynopsisEvalCache : public RuleProvider {
  public:
   static SynopsisEvalCache Build(const SltGrammar* grammar,
@@ -196,38 +188,9 @@ class SynopsisEvalCache : public RuleProvider {
     return rules_[static_cast<size_t>(rule)].View();
   }
 
-  /// Identity of the inputs the cache was built from; evaluators check
-  /// these before trusting the cached data.
-  const SltGrammar* grammar() const { return grammar_; }
-  const LabelMaps* maps() const { return maps_; }
-
  private:
   const SltGrammar* grammar_ = nullptr;
-  const LabelMaps* maps_ = nullptr;
   std::vector<FlatRuleData> rules_;
-};
-
-/// Fallback provider over an eager grammar when no shared cache exists:
-/// rules are flattened on first touch and kept for the provider's
-/// lifetime. Not thread-safe — each evaluator owns its own instance,
-/// like the rest of its mutable state.
-class LocalRuleProvider final : public RuleProvider {
- public:
-  LocalRuleProvider() = default;
-  LocalRuleProvider(const SltGrammar* grammar, const LabelMaps* maps)
-      : grammar_(grammar), maps_(maps) {}
-
-  int32_t rule_count() const override { return grammar_->rule_count(); }
-  std::span<const StarStats> star_stats() const override {
-    return grammar_->star_stats();
-  }
-  RuleEvalData Rule(int32_t rule) const override;
-
- private:
-  const SltGrammar* grammar_ = nullptr;
-  const LabelMaps* maps_ = nullptr;
-  // node_hash_map-style stability: unordered_map never moves its values.
-  mutable std::unordered_map<int32_t, FlatRuleData> entries_;
 };
 
 }  // namespace xmlsel

@@ -107,16 +107,10 @@ int32_t SigmaMemo::Find(std::span<const int32_t> key) const {
   return FindSlot(key, HashKey(key), &slot);
 }
 
-GrammarEvaluator::GrammarEvaluator(const SltGrammar* grammar,
+GrammarEvaluator::GrammarEvaluator(const RuleProvider* provider,
                                    const CompiledQuery* cq,
-                                   const LabelMaps* maps, BoundMode mode,
-                                   const SynopsisEvalCache* cache)
-    : src_(cache != nullptr && cache->grammar() == grammar &&
-                   cache->maps() == maps
-               ? static_cast<const RuleProvider*>(cache)
-               : &local_),
-      cq_(cq), maps_(maps), mode_(mode),
-      local_(grammar, maps),
+                                   const LabelMaps* maps, BoundMode mode)
+    : src_(provider), cq_(cq), maps_(maps), mode_(mode),
       memo_(&arena_),
       star_(cq, &reg_, maps, &scratch_, &arena_) {
   // The compiled query outlives the evaluator, so its pair indexer can be
@@ -124,20 +118,11 @@ GrammarEvaluator::GrammarEvaluator(const SltGrammar* grammar,
   reg_.AttachIndexer(&cq_->indexer());
 }
 
-GrammarEvaluator::GrammarEvaluator(const RuleProvider* provider,
-                                   const CompiledQuery* cq,
-                                   const LabelMaps* maps, BoundMode mode)
-    : src_(provider), cq_(cq), maps_(maps), mode_(mode),
-      memo_(&arena_),
-      star_(cq, &reg_, maps, &scratch_, &arena_) {
-  reg_.AttachIndexer(&cq_->indexer());
-}
-
 XMLSEL_HOT bool GrammarEvaluator::PushTask(int32_t memo_id,
                                            std::span<const int32_t> key) {
   // Rule data is query-independent: served from the shared synopsis cache
-  // (or decoded on first touch by a mapped provider), else computed once
-  // per rule in this evaluator. All providers hand out stable references.
+  // or decoded on first touch by a mapped provider. All providers hand out
+  // stable references.
   RuleEvalData d = src_->Rule(key[0]);
   if (!d.valid) return false;
   // xmlsel-lint: allow(hot-alloc): pool grows to peak stack depth once

@@ -136,19 +136,13 @@ class SigmaMemo {
 /// grammar/maps/cache.
 class GrammarEvaluator {
  public:
-  /// `maps` may be null (upper bounds then skip label pruning). `cache`
-  /// may be null (query-independent data is then derived on the fly); a
-  /// non-null cache is used only if it was built from exactly this
-  /// (grammar, maps) pair — a stale cache is ignored, never trusted.
-  GrammarEvaluator(const SltGrammar* grammar, const CompiledQuery* cq,
-                   const LabelMaps* maps, BoundMode mode,
-                   const SynopsisEvalCache* cache = nullptr);
-
-  /// Serving-path constructor: rules and their query-independent eval
-  /// data come from an abstract provider (e.g. a MappedSynopsis's lazy
-  /// decode cache) instead of a fully decoded grammar. The provider must
-  /// outlive the evaluator. Provider failures (corrupt lazily-decoded
-  /// rules) abort Evaluate() with a non-OK GrammarEvalResult::status.
+  /// Rules and their query-independent eval data come from `provider`:
+  /// a synopsis's eval_cache(), a mapped layer's lazy decode cache, or
+  /// SynopsisEvalCache::Build(&grammar, maps) for a bare grammar. The
+  /// provider must outlive the evaluator and should be built with the
+  /// same `maps`. `maps` may be null (upper bounds then skip label
+  /// pruning). Provider failures (corrupt lazily-decoded rules) abort
+  /// Evaluate() with a non-OK GrammarEvalResult::status.
   GrammarEvaluator(const RuleProvider* provider, const CompiledQuery* cq,
                    const LabelMaps* maps, BoundMode mode);
 
@@ -197,7 +191,6 @@ class GrammarEvaluator {
   const CompiledQuery* cq_;
   const LabelMaps* maps_;
   BoundMode mode_;
-  LocalRuleProvider local_;  // backs src_ when no shared cache was usable
   StateRegistry reg_;
   Arena arena_;
   SigmaMemo memo_;

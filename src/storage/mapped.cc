@@ -216,47 +216,6 @@ Status MappedSynopsis::Layer::error() const {
   return error_;
 }
 
-Status MappedSynopsis::Layer::DecodeRuleEager(int32_t rule,
-                                              GrammarRule* out) const {
-  if (rule < 0 || rule >= rule_count()) {
-    return Status::Corruption("mapped: rule index " + std::to_string(rule) +
-                              " out of range (layer has " +
-                              std::to_string(rule_count()) + " rules)");
-  }
-  const size_t r = static_cast<size_t>(rule);
-  const uint64_t offset = offsets_[r];
-  const uint32_t bit_len = bit_lens_[r];
-  // Both bounds were validated at open; recompute defensively anyway.
-  const uint64_t nbytes = (static_cast<uint64_t>(bit_len) + 7) / 8;
-  if (offset > payload_bytes_ || nbytes > payload_bytes_ - offset) {
-    return Status::Corruption("mapped: rule " + std::to_string(rule) +
-                              " stream escapes its payload section");
-  }
-  BitReader reader(payload_ + offset, static_cast<size_t>(nbytes));
-  GrammarRule decoded;
-  Status st = DecodePackedRule(
-      &reader, rule, label_count_, static_cast<int64_t>(stars_.size()),
-      std::span<const int32_t>(ranks_.data(), r), &decoded);
-  if (!st.ok()) {
-    return Status::Corruption("mapped: rule " + std::to_string(rule) +
-                              " failed to decode: " + st.message());
-  }
-  if (decoded.rank != ranks_[r]) {
-    return Status::Corruption(
-        "mapped: rule " + std::to_string(rule) + " stream rank " +
-        std::to_string(decoded.rank) + " disagrees with directory rank " +
-        std::to_string(ranks_[r]));
-  }
-  if (reader.position() != static_cast<int64_t>(bit_len)) {
-    return Status::Corruption(
-        "mapped: rule " + std::to_string(rule) + " stream consumed " +
-        std::to_string(reader.position()) + " bits, directory declares " +
-        std::to_string(bit_len));
-  }
-  *out = std::move(decoded);
-  return Status::OK();
-}
-
 Status MappedSynopsis::Layer::DecodeRuleFlat(int32_t rule,
                                              FlatRuleData* out) const {
   if (rule < 0 || rule >= rule_count()) {
@@ -265,7 +224,8 @@ Status MappedSynopsis::Layer::DecodeRuleFlat(int32_t rule,
                               std::to_string(rule_count()) + " rules)");
   }
   const size_t r = static_cast<size_t>(rule);
-  PackedRuleCursor cursor = MakeCursor();
+  PackedRuleCursor cursor(payload(), label_count_,
+                          static_cast<int64_t>(stars_.size()), ranks_, maps_);
   return cursor.DecodeFlat(rule, offsets_[r], bit_lens_[r], out);
 }
 
@@ -323,8 +283,11 @@ void MappedSynopsis::Layer::EnsureSweepOrderLocked() const {
   if (!sweep_order_.empty() || n == 0) return;
   std::vector<char> reach(static_cast<size_t>(n), 0);
   std::vector<int32_t> work;
-  std::vector<int32_t> callees;
-  PackedRuleCursor cursor = MakeCursor();
+  FlatRuleData rule;
+  // No label maps: the walk needs only the call sites, not star roots.
+  PackedRuleCursor cursor(payload(), label_count_,
+                          static_cast<int64_t>(stars_.size()), ranks_,
+                          nullptr);
   const int32_t start = n - 1;
   reach[static_cast<size_t>(start)] = 1;
   work.push_back(start);
@@ -332,18 +295,18 @@ void MappedSynopsis::Layer::EnsureSweepOrderLocked() const {
   while (!work.empty()) {
     const int32_t r = work.back();
     work.pop_back();
-    callees.clear();
-    Status st = cursor.ScanCalls(r, offsets_[static_cast<size_t>(r)],
-                                 bit_lens_[static_cast<size_t>(r)], &callees);
+    Status st = cursor.DecodeFlat(r, offsets_[static_cast<size_t>(r)],
+                                  bit_lens_[static_cast<size_t>(r)], &rule);
     if (!st.ok()) {
       SetError(st);
       scanned_ok = false;
       break;
     }
-    for (int32_t c : callees) {
-      if (!reach[static_cast<size_t>(c)]) {
-        reach[static_cast<size_t>(c)] = 1;
-        work.push_back(c);
+    for (const RuleNodeView& node : rule.nodes) {
+      if (node.kind != GrammarNode::Kind::kNonterminal) continue;
+      if (!reach[static_cast<size_t>(node.sym)]) {
+        reach[static_cast<size_t>(node.sym)] = 1;
+        work.push_back(node.sym);
       }
     }
   }
@@ -761,10 +724,10 @@ Result<SltGrammar> MappedSynopsis::AssembleGrammar(int layer) const {
           " contains duplicates (indices would shift on re-intern)");
     }
   }
+  FlatRuleData flat;
   for (int32_t i = 0; i < L.rule_count(); ++i) {
-    GrammarRule r;
-    XMLSEL_RETURN_IF_ERROR(L.DecodeRuleEager(i, &r));
-    g.AddRule(std::move(r));
+    XMLSEL_RETURN_IF_ERROR(L.DecodeRuleFlat(i, &flat));
+    g.AddRule(RuleFromFlat(flat));
   }
   return g;
 }

@@ -198,22 +198,10 @@ class MappedSynopsis {
     RuleEvalData Rule(int32_t rule) const override;
     Status error() const override XMLSEL_EXCLUDES(error_mu_);
 
-    /// Eagerly decodes one rule into a GrammarRule, bypassing the cache
-    /// (thawing, grammar assembly, verification).
-    Status DecodeRuleEager(int32_t rule, GrammarRule* out) const;
-
     /// Decodes one rule into caller-owned flat storage, bypassing the
-    /// cache (the cache's miss path and verification use this).
+    /// cache (the cache's miss path, grammar assembly and verification
+    /// use this).
     Status DecodeRuleFlat(int32_t rule, FlatRuleData* out) const;
-
-    /// A cursor over this layer's payload for in-place walks of the
-    /// E(R_i) streams. The cursor borrows the layer's mapping and
-    /// directory and must not outlive the image.
-    PackedRuleCursor MakeCursor() const {
-      return PackedRuleCursor(payload(), label_count_,
-                              static_cast<int64_t>(stars_.size()), ranks_,
-                              maps_);
-    }
 
     MappedCacheStats cache_stats() const;
 
@@ -230,8 +218,8 @@ class MappedSynopsis {
     /// the number freed.
     int64_t ReclaimEvicted() const XMLSEL_EXCLUDES(evict_mu_);
 
-    /// Rules statically reachable from the start rule, computed from the
-    /// packed bits (ScanCalls) on first use. Evaluation of any
+    /// Rules statically reachable from the start rule, computed on first
+    /// use by decoding each reachable rule once and following its calls. Evaluation of any
     /// satisfiable query touches exactly this set, so the lazy decoder's
     /// decoded_rules converges to it.
     int32_t ReachableRuleCount() const XMLSEL_EXCLUDES(evict_mu_);

@@ -4,6 +4,7 @@
 #include "storage/packed.h"
 
 #include "storage/bitio.h"
+#include "storage/packed_cursor.h"
 #include "verify/verify.h"
 
 namespace xmlsel {
@@ -82,140 +83,6 @@ void EncodePackedRule(const SltGrammar& g, int32_t rule_index,
   }
 }
 
-Status DecodePackedRule(BitReader* r, int32_t rule_index, int32_t label_count,
-                        int64_t star_count, std::span<const int32_t> ranks,
-                        GrammarRule* out) {
-  const int width = PackedSymbolWidth(label_count, rule_index);
-  const int star_width = BitsFor(star_count);
-  Result<int64_t> rank = r->ReadUnary();
-  if (!rank.ok()) return rank.status();
-  GrammarRule rule;
-  rule.rank = static_cast<int32_t>(rank.value());
-  RhsBuilder builder(&rule);
-  int32_t next_param = 0;
-
-  // Recursive decode via explicit stack: each frame decodes one symbol
-  // and knows where to deposit the resulting node id.
-  struct Frame {
-    int32_t node = kNullNode;   // created node (filled in stage order)
-    int child_total = 0;        // -1: star (open list)
-    int child_done = 0;
-    std::vector<int32_t> kids;
-    int32_t star_stats = 0;
-    bool is_star = false;
-    bool is_terminal = false;
-    LabelId label = 0;
-    int32_t callee = -1;
-  };
-  std::vector<Frame> stack;
-  int32_t root = kNullNode;
-  bool done_root = false;
-
-  // Deposits a completed node id into the parent frame (or the root).
-  auto deposit = [&](int32_t id) {
-    if (stack.empty()) {
-      root = id;
-      done_root = true;
-    } else {
-      stack.back().kids.push_back(id);
-      ++stack.back().child_done;
-    }
-  };
-  // Completes frames whose children are all decoded.
-  auto finish_ready = [&]() -> Status {
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.child_total < 0) return Status::OK();  // star: list still open
-      if (f.child_done < f.child_total) return Status::OK();
-      int32_t id;
-      if (f.is_terminal) {
-        id = builder.Terminal(f.label, f.kids[0], f.kids[1]);
-      } else if (f.is_star) {
-        id = builder.Star(f.star_stats, f.kids);
-      } else {
-        id = builder.Nonterminal(f.callee, f.kids);
-      }
-      stack.pop_back();
-      deposit(id);
-    }
-    return Status::OK();
-  };
-
-  while (!done_root) {
-    // If the innermost frame is an open star list, consume its control
-    // bit first.
-    if (!stack.empty() && stack.back().child_total < 0) {
-      Result<uint64_t> more = r->ReadBits(1);
-      if (!more.ok()) return more.status();
-      if (more.value() == 0) {
-        Frame f = stack.back();
-        stack.pop_back();
-        int32_t id = builder.Star(f.star_stats, f.kids);
-        deposit(id);
-        XMLSEL_RETURN_IF_ERROR(finish_ready());
-        continue;
-      }
-      // Fall through to decode the next star child symbol.
-    }
-    Result<uint64_t> sym = r->ReadBits(width);
-    if (!sym.ok()) return sym.status();
-    uint64_t s = sym.value();
-    if (s == kSymParam) {
-      if (next_param >= rule.rank) {
-        return Status::Corruption("too many parameters in rule");
-      }
-      deposit(builder.Param(next_param++));
-      XMLSEL_RETURN_IF_ERROR(finish_ready());
-    } else if (s == kSymBottom) {
-      deposit(kNullNode);
-      XMLSEL_RETURN_IF_ERROR(finish_ready());
-    } else if (s == kSymStar) {
-      Result<uint64_t> stats = r->ReadBits(star_width);
-      if (!stats.ok()) return stats.status();
-      if (stats.value() >= static_cast<uint64_t>(star_count)) {
-        return Status::Corruption("star stats index out of range");
-      }
-      Frame f;
-      f.is_star = true;
-      f.star_stats = static_cast<int32_t>(stats.value());
-      f.child_total = -1;
-      stack.push_back(std::move(f));
-    } else if (s < static_cast<uint64_t>(label_count) + 2) {
-      LabelId label = static_cast<LabelId>(s - kSymBottom);
-      if (label <= 0 || label >= label_count) {
-        return Status::Corruption("label symbol out of range");
-      }
-      Frame f;
-      f.is_terminal = true;
-      f.label = label;
-      f.child_total = 2;
-      stack.push_back(std::move(f));
-    } else {
-      int32_t callee = static_cast<int32_t>(
-          s - static_cast<uint64_t>(label_count) - 2);
-      if (callee < 0 || callee >= rule_index ||
-          callee >= static_cast<int32_t>(ranks.size())) {
-        return Status::Corruption("rule reference out of range");
-      }
-      Frame f;
-      f.callee = callee;
-      f.child_total = ranks[static_cast<size_t>(callee)];
-      if (f.child_total == 0) {
-        deposit(builder.Nonterminal(callee, {}));
-        XMLSEL_RETURN_IF_ERROR(finish_ready());
-      } else {
-        stack.push_back(std::move(f));
-      }
-    }
-  }
-  if (next_param != rule.rank) {
-    return Status::Corruption("parameter count mismatch in rule");
-  }
-  rule.root = root;
-  *out = std::move(rule);
-  return Status::OK();
-}
-
 std::vector<uint8_t> EncodePacked(const SltGrammar& g, int32_t label_count) {
   BitWriter w;
   w.WriteVarint(static_cast<uint64_t>(label_count));
@@ -255,13 +122,14 @@ Result<SltGrammar> DecodePacked(const std::vector<uint8_t>& bytes) {
 
   std::vector<int32_t> ranks;
   ranks.reserve(static_cast<size_t>(rule_count.value()));
+  PackedDecodeScratch scratch;
+  FlatRuleData flat;
   for (uint64_t i = 0; i < rule_count.value(); ++i) {
-    GrammarRule rule;
     XMLSEL_RETURN_IF_ERROR(DecodePackedRule(
         &r, static_cast<int32_t>(i), labels,
-        static_cast<int64_t>(star_count.value()), ranks, &rule));
-    ranks.push_back(rule.rank);
-    g.AddRule(std::move(rule));
+        static_cast<int64_t>(star_count.value()), ranks, &scratch, &flat));
+    ranks.push_back(flat.rank);
+    g.AddRule(RuleFromFlat(flat));
   }
   // Every structural invariant is enforced during decoding except the
   // start rule's rank; check it gracefully (fuzzed input must yield

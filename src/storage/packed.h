@@ -17,7 +17,6 @@
 #ifndef XMLSEL_STORAGE_PACKED_H_
 #define XMLSEL_STORAGE_PACKED_H_
 
-#include <span>
 #include <vector>
 
 #include "grammar/slt.h"
@@ -50,10 +49,11 @@ int64_t PointerRepresentationSize(const SltGrammar& g);
 // Per-rule codec. One rule's E(R_i) stream is self-contained given the
 // global context (label count, star-table size) plus the ranks of earlier
 // rules — the mmap-ed serving store (storage/mapped.h) uses this to decode
-// individual rules on first touch without materializing the grammar.
+// individual rules on first touch without materializing the grammar. The
+// one decoder of a stream is DecodePackedRule (storage/packed_cursor.h).
 
-// Symbol ids within rule i's stream (shared by the decoder here and the
-// packed cursor, storage/packed_cursor.h):
+// Symbol ids within rule i's stream (shared by the encoder here and the
+// decoder):
 //   0                      star
 //   1                      parameter (index implicit, pre-order)
 //   2                      ⊥ (the paper's A_0)
@@ -73,14 +73,6 @@ int PackedSymbolWidth(int32_t label_count, int32_t rule_index);
 /// symbols) to `w`. No byte alignment is performed.
 void EncodePackedRule(const SltGrammar& g, int32_t rule_index,
                       int32_t label_count, BitWriter* w);
-
-/// Decodes one E(R_i) stream from `r` into `*out`. `ranks` must supply the
-/// rank of every rule with index < `rule_index` (rule calls in the stream
-/// reference only earlier rules); `star_count` bounds star-stats indices.
-/// Every structural error in the stream yields kCorruption, never UB.
-Status DecodePackedRule(BitReader* r, int32_t rule_index, int32_t label_count,
-                        int64_t star_count, std::span<const int32_t> ranks,
-                        GrammarRule* out);
 
 }  // namespace xmlsel
 

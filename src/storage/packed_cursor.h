@@ -1,24 +1,23 @@
 // Copyright 2026 The xmlsel Authors
 // SPDX-License-Identifier: Apache-2.0
 //
-// In-place rule access: walk a rule's §7 E(R_i) bit-stream in place
-// (straight over the mmap-ed payload section) and emit the evaluator's
-// flat form — no GrammarRule, no per-node child vectors, no decode-cache
-// slot. A PackedRuleCursor is the decode cache's miss path and the
-// source of its eviction sweep order (storage/mapped.h); its output is
-// bit-identical to flattening an eager DecodePackedRule, which
-// verify/mapped_verify.cc checks rule by rule.
+// The §7 rule decoder. Every E(R_i) bit-stream — a mapped rule on a
+// decode-cache miss, a rule assembled for Thaw, each rule of a
+// concatenated DecodePacked buffer — is read by DecodePackedRule below,
+// in one pass over its pre-order symbols that emits the evaluator's flat
+// form (automaton/eval_cache.h) directly: no GrammarRule, no per-node
+// child vectors. Node ids are assigned at frame completion, children
+// before parents in stream order — exactly the ids an appending
+// RhsBuilder would hand out — so RuleFromFlat turns the result into the
+// identical GrammarRule, and flattening the in-memory grammar yields the
+// identical flat form. Every structural error in a stream yields
+// kCorruption, never UB.
 //
-// The cursor mirrors DecodePackedRule's frame algorithm exactly: node ids
-// are assigned at frame completion, which is the same order RhsBuilder
-// assigns them in the eager decoder, so ids, child arrays, post-order,
-// and star-root sets all match the eager path element for element. All
-// validation the eager decoder performs (label/star/callee ranges,
-// parameter counts, stream-length agreement with the directory) is
-// replicated — corrupt bytes yield kCorruption, never UB.
-//
-// A cursor owns only reusable scratch (frames, pending child ids); it is
-// cheap to construct and not thread-safe (one per decode call).
+// A PackedRuleCursor walks the streams of one mmap-ed layer in place
+// (storage/mapped.h): it adds the rule-directory checks (payload bounds,
+// rank, exact bit length) and the post-order and star-root arrays. It
+// owns only reusable scratch; it is cheap to construct and not
+// thread-safe (one per decode call).
 
 #ifndef XMLSEL_STORAGE_PACKED_CURSOR_H_
 #define XMLSEL_STORAGE_PACKED_CURSOR_H_
@@ -30,17 +29,45 @@
 #include "automaton/eval_cache.h"
 #include "grammar/lossy.h"
 #include "grammar/slt.h"
+#include "storage/bitio.h"
 #include "xmlsel/status.h"
 
 namespace xmlsel {
 
+/// Reusable frame stack of DecodePackedRule; capacity is kept across
+/// rules.
+struct PackedDecodeScratch {
+  struct Frame {
+    GrammarNode::Kind kind = GrammarNode::Kind::kTerminal;
+    int32_t sym = 0;          // label / star-stats index / callee
+    int32_t child_total = 0;  // -1: star (open list)
+    int32_t child_done = 0;
+    size_t kids_begin = 0;    // this frame's slice of `kids`
+  };
+  std::vector<Frame> frames;
+  std::vector<int32_t> kids;  // completed child ids awaiting their parent
+};
+
+/// Decodes one E(R_i) stream (unary rank + pre-order symbols) from `r`
+/// into `out`'s rank, root, nodes and children; `out` is cleared first
+/// (capacity kept) and its post-order and star-root arrays stay empty.
+/// `ranks` must supply the rank of every rule with index < `rule_index`
+/// (calls reference only earlier rules); `star_count` bounds star-stats
+/// indices.
+Status DecodePackedRule(BitReader* r, int32_t rule_index,
+                        int32_t label_count, int64_t star_count,
+                        std::span<const int32_t> ranks,
+                        PackedDecodeScratch* scratch, FlatRuleData* out);
+
+/// The GrammarRule of a decoded flat rule, node for node (ids kept).
+GrammarRule RuleFromFlat(const FlatRuleData& flat);
+
 class PackedRuleCursor {
  public:
-  /// `payload` is one layer's packed payload section; `ranks` must cover
-  /// every rule of the layer (calls reference only earlier rules, so the
-  /// prefix below `rule_index` is what actually gets read). `maps` may be
-  /// null (star roots then stay unrestricted, as in the eager path). All
-  /// referenced data is borrowed and must outlive the cursor.
+  /// `payload` is one layer's packed payload section; `ranks` is its
+  /// rule directory's rank column. `maps` may be null (star roots then
+  /// stay unrestricted, as in the eager path). All referenced data is
+  /// borrowed and must outlive the cursor.
   PackedRuleCursor(std::span<const uint8_t> payload, int32_t label_count,
                    int64_t star_count, std::span<const int32_t> ranks,
                    const LabelMaps* maps)
@@ -57,31 +84,13 @@ class PackedRuleCursor {
   Status DecodeFlat(int32_t rule_index, uint64_t offset, uint32_t bit_len,
                     FlatRuleData* out);
 
-  /// Streams the rule and appends every called rule index to `*callees`
-  /// (with repetitions, in stream order) — reachability scans touch no
-  /// heap beyond the cursor's scratch and materialize nothing.
-  Status ScanCalls(int32_t rule_index, uint64_t offset, uint32_t bit_len,
-                   std::vector<int32_t>* callees);
-
  private:
-  struct Frame {
-    GrammarNode::Kind kind = GrammarNode::Kind::kTerminal;
-    int32_t sym = 0;          // label / star-stats index / callee
-    int32_t child_total = 0;  // -1: star (open list)
-    int32_t child_done = 0;
-    size_t kids_begin = 0;    // this frame's slice of kids_
-  };
-
   std::span<const uint8_t> payload_;
   int32_t label_count_ = 0;
   int64_t star_count_ = 0;
   std::span<const int32_t> ranks_;
   const LabelMaps* maps_ = nullptr;
-
-  // Reusable scratch, capacity kept across rules.
-  std::vector<Frame> frames_;
-  std::vector<int32_t> kids_;
-  std::vector<int32_t> scan_stack_;
+  PackedDecodeScratch scratch_;
 };
 
 }  // namespace xmlsel

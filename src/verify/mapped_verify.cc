@@ -4,14 +4,21 @@
 // Mapped-image audits (storage/mapped.h). Two entry points:
 //
 //  - VerifyMappedImage: audits an opened image in place — checksum,
-//    per-rule agreement between the lazy decode path and an independent
-//    eager decode, byte-exact re-encoding of every rule against its
-//    payload slice, grammar well-formedness of both layers, label-map
-//    and label-total consistency.
+//    grammar well-formedness of both layers, label-map and label-total
+//    consistency, and per-rule witnesses for the §7 decoder (there is one,
+//    DecodePackedRule in storage/packed_cursor.h, so no second decoder
+//    can vouch for it):
+//      * re-encoding every decoded rule reproduces its payload slice
+//        byte-exactly — the encoder is the oracle for what was decoded;
+//      * every decode-cache slot equals the flattening of that
+//        re-encoded rule — the evaluator is served what was checked;
+//      * every slot equals an uncached decode of the same bytes — the
+//        cache neither drifted nor kept a stale rule.
 //  - VerifyMappedRoundTrip: the end-to-end witness used by the pipeline
 //    verifier — build an image from a synopsis, open it with checksum
 //    verification, audit it, thaw it, and require the thawed synopsis to
-//    be structurally identical to the original.
+//    be structurally identical to the original (CompareGrammars against
+//    the grammar the image was built from).
 
 #include <string>
 #include <vector>
@@ -27,9 +34,8 @@ namespace xmlsel {
 namespace {
 
 /// Element-for-element comparison of two flat rule forms — the identity
-/// the decode cache rests on: decode-cache slots, uncached cursor
-/// output, and the eager flattener must be indistinguishable to the
-/// evaluator.
+/// the decode cache rests on: decode-cache slots, uncached decodes, and
+/// the flattener must be indistinguishable to the evaluator.
 Status CompareFlatRules(const RuleEvalData& got, const RuleEvalData& want) {
   if (!got.valid) return Status::Corruption("rule is invalid");
   if (got.rank != want.rank) {
@@ -82,10 +88,11 @@ Status CompareFlatRules(const RuleEvalData& got, const RuleEvalData& want) {
   return Status::OK();
 }
 
-/// Audits one layer: assemble it eagerly, check well-formedness, then
-/// require (a) every lazily served rule to agree with the eager decode
-/// and (b) re-encoding every rule to reproduce its payload slice
-/// bit-exactly (so the directory's offsets/bit lengths are honest).
+/// Audits one layer: assemble it, check well-formedness, then require
+/// (a) re-encoding every rule to reproduce its payload slice bit-exactly
+/// (so the decoder and the directory's offsets/bit lengths are honest)
+/// and (b) every decode-cache slot to agree with both the flattened
+/// re-encoded rule and an uncached decode.
 Status VerifyMappedLayer(const MappedSynopsis& image, int layer) {
   const MappedSynopsis::Layer& L =
       layer == 0 ? image.lossless_layer() : image.lossy_layer();
@@ -126,8 +133,8 @@ Status VerifyMappedLayer(const MappedSynopsis& image, int layer) {
     }
   }
 
-  // Both lazy paths — the decode cache and an uncached cursor decode —
-  // must serve exactly the flattening of the eager decode, rule by rule.
+  // Every decode-cache slot must serve exactly the flattening of the
+  // re-encoded rule, and agree with an uncached decode of its bytes.
   FlatRuleData reference;
   FlatRuleData uncached;
   for (int32_t i = 0; i < L.rule_count(); ++i) {
@@ -140,9 +147,10 @@ Status VerifyMappedLayer(const MappedSynopsis& image, int layer) {
     }
     Status cmp = CompareFlatRules(d, reference.View());
     if (!cmp.ok()) {
-      return Status::Corruption(at + " rule " + std::to_string(i) +
-                                " lazy decode disagrees with eager decode: " +
-                                cmp.message());
+      return Status::Corruption(
+          at + " rule " + std::to_string(i) +
+          " decode-cache slot disagrees with the re-encoded rule: " +
+          cmp.message());
     }
     Status st = L.DecodeRuleFlat(i, &uncached);
     if (!st.ok()) {
@@ -150,11 +158,11 @@ Status VerifyMappedLayer(const MappedSynopsis& image, int layer) {
                                 " failed uncached decode: " +
                                 st.ToString());
     }
-    cmp = CompareFlatRules(uncached.View(), reference.View());
+    cmp = CompareFlatRules(d, uncached.View());
     if (!cmp.ok()) {
       return Status::Corruption(
           at + " rule " + std::to_string(i) +
-          " uncached decode disagrees with eager decode: " +
+          " decode-cache slot disagrees with an uncached decode: " +
           cmp.message());
     }
   }

@@ -272,9 +272,8 @@ VerifyReport VerifyPipeline(const Document& doc,
       // Audit the kernel state an evaluation leaves behind.
       Result<CompiledQuery> cq = CompiledQuery::Compile(q);
       if (!cq.ok()) continue;  // outside the automaton fragment
-      GrammarEvaluator eval(&synopsis.lossy(), &cq.value(),
-                            &synopsis.label_maps(), BoundMode::kLower,
-                            nullptr);
+      GrammarEvaluator eval(&synopsis.eval_cache(), &cq.value(),
+                            &synopsis.label_maps(), BoundMode::kLower);
       eval.Evaluate();
       XMLSEL_RETURN_IF_ERROR(
           VerifyStateRegistry(eval.registry(), &cq.value()));

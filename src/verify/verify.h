@@ -164,11 +164,11 @@ Status VerifySigmaMemo(const SigmaMemo& memo, const RuleProvider& provider,
 Status VerifyPackedRoundTrip(const SltGrammar& g, int32_t label_count);
 
 /// Mapped-image audit (storage/mapped.h): header and section bounds,
-/// payload checksum, rule-directory entries, byte-exact agreement of every
-/// lazily decoded rule with an independent eager decode (re-encoding each
-/// rule must reproduce its payload slice bit-exactly), both grammar layers
-/// well-formed, label maps intrinsic invariants, and label totals summing
-/// to the element total.
+/// payload checksum, rule-directory entries, every decoded rule
+/// re-encoding to its payload slice bit-exactly, every decode-cache slot
+/// agreeing with the flattened re-encoded rule and with an uncached
+/// decode, both grammar layers well-formed, label maps intrinsic
+/// invariants, and label totals summing to the element total.
 Status VerifyMappedImage(const MappedSynopsis& image);
 
 /// End-to-end mapped round-trip: BuildMappedImage(synopsis) must open,

@@ -191,12 +191,10 @@ TEST(ConcurrencyTest, SharedCacheEvaluatorsRaceCleanly) {
         trace.push_back(r.arena_bytes);
       };
       for (const CompiledQuery& cq : compiled) {
-        GrammarEvaluator lower(&synopsis.lossy(), &cq,
-                               &synopsis.label_maps(), BoundMode::kLower,
-                               cache);
-        GrammarEvaluator upper(&synopsis.lossy(), &cq,
-                               &synopsis.label_maps(), BoundMode::kUpper,
-                               cache);
+        GrammarEvaluator lower(cache, &cq, &synopsis.label_maps(),
+                               BoundMode::kLower);
+        GrammarEvaluator upper(cache, &cq, &synopsis.label_maps(),
+                               BoundMode::kUpper);
         record(lower.Evaluate());
         record(upper.Evaluate());
         // Warm re-run on this thread's own evaluator: the steady-state
@@ -251,9 +249,8 @@ TEST(ConcurrencyTest, CompiledQueryCacheHammeredFromEightThreads) {
           ASSERT_EQ(got.shared_upper, want.shared_upper);
           ASSERT_EQ(got.match_test, want.match_test);
           if (got.unsatisfiable) continue;
-          GrammarEvaluator eval(&synopsis.lossy(), &got.lower,
-                                &synopsis.label_maps(), BoundMode::kLower,
-                                &synopsis.eval_cache());
+          GrammarEvaluator eval(&synopsis.eval_cache(), &got.lower,
+                                &synopsis.label_maps(), BoundMode::kLower);
           trace.push_back(eval.Evaluate().count);
         }
       }
@@ -495,9 +492,8 @@ TEST(ConcurrencyTest, PinnedSnapshotAndCompiledHandlesOutliveSwapAndRemoval) {
   // And the old handles still drive evaluators directly.
   for (size_t i = 0; i < handles.size(); ++i) {
     if (handles[i]->unsatisfiable) continue;
-    GrammarEvaluator eval(&f.version_a->lossy(), &handles[i]->lower,
-                          &f.version_a->label_maps(), BoundMode::kLower,
-                          &f.version_a->eval_cache());
+    GrammarEvaluator eval(&f.version_a->eval_cache(), &handles[i]->lower,
+                          &f.version_a->label_maps(), BoundMode::kLower);
     EXPECT_EQ(eval.Evaluate().count, f.expect_a[i].lower);
   }
 }

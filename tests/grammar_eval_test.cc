@@ -32,11 +32,12 @@ Bounds EvalBounds(const SltGrammar& g, const Query& q,
                   const LabelMaps* maps) {
   Result<CompiledQuery> cq = CompiledQuery::Compile(q);
   XMLSEL_CHECK(cq.ok());
-  GrammarEvaluator lo(&g, &cq.value(), maps, BoundMode::kLower);
+  SynopsisEvalCache rules = SynopsisEvalCache::Build(&g, maps);
+  GrammarEvaluator lo(&rules, &cq.value(), maps, BoundMode::kLower);
   Query upper_q = HasOrderAxes(q) ? RelaxOrderConstraints(q) : q;
   Result<CompiledQuery> ucq = CompiledQuery::Compile(upper_q);
   XMLSEL_CHECK(ucq.ok());
-  GrammarEvaluator hi(&g, &ucq.value(), maps, BoundMode::kUpper);
+  GrammarEvaluator hi(&rules, &ucq.value(), maps, BoundMode::kUpper);
   Bounds b{lo.Evaluate().count, hi.Evaluate().count};
   if (b.upper < b.lower) b.upper = b.lower;
   return b;
@@ -196,7 +197,8 @@ TEST(GrammarEvalTest, SigmaMemoizationIsExercised) {
   ASSERT_TRUE(q.ok());
   Result<CompiledQuery> cq = CompiledQuery::Compile(q.value());
   ASSERT_TRUE(cq.ok());
-  GrammarEvaluator eval(&g, &cq.value(), nullptr, BoundMode::kLower);
+  SynopsisEvalCache rules = SynopsisEvalCache::Build(&g, nullptr);
+  GrammarEvaluator eval(&rules, &cq.value(), nullptr, BoundMode::kLower);
   GrammarEvalResult res = eval.Evaluate();
   // Lazy σ: far fewer evaluations than rules × all state combinations.
   EXPECT_GT(res.sigma_entries, 0);

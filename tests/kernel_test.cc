@@ -342,9 +342,8 @@ TEST(KernelTest, WarmEvaluatorReRunsWithoutHeapAllocation) {
     Result<CompiledQuery> cq = CompiledQuery::Compile(q.value());
     ASSERT_TRUE(cq.ok());
     for (BoundMode mode : {BoundMode::kLower, BoundMode::kUpper}) {
-      GrammarEvaluator eval(&synopsis.lossy(), &cq.value(),
-                            &synopsis.label_maps(), mode,
-                            &synopsis.eval_cache());
+      GrammarEvaluator eval(&synopsis.eval_cache(), &cq.value(),
+                            &synopsis.label_maps(), mode);
       GrammarEvalResult cold = eval.Evaluate();
       GrammarEvalResult warm = eval.Evaluate();
       // Bit-identical result, no σ recomputation, zero heap allocations
@@ -617,9 +616,8 @@ TEST(KernelTest, CountersSeparateColdFromWarm) {
   ASSERT_TRUE(q.ok());
   Result<CompiledQuery> cq = CompiledQuery::Compile(q.value());
   ASSERT_TRUE(cq.ok());
-  GrammarEvaluator eval(&synopsis.lossy(), &cq.value(),
-                        &synopsis.label_maps(), BoundMode::kLower,
-                        &synopsis.eval_cache());
+  GrammarEvaluator eval(&synopsis.eval_cache(), &cq.value(),
+                        &synopsis.label_maps(), BoundMode::kLower);
   GrammarEvalResult cold = eval.Evaluate();
   GrammarEvalResult warm = eval.Evaluate();
   // Warm probes are the memo-served replay: strictly fewer than cold,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "data/generator.h"
@@ -17,6 +18,7 @@
 #include "storage/dynamic_store.h"
 #include "storage/mapped.h"
 #include "storage/packed.h"
+#include "storage/packed_cursor.h"
 #include "tests/test_util.h"
 #include "verify/verify.h"
 
@@ -362,6 +364,118 @@ TEST(MappedCorruptionTest, SeededRandomFlipsNeverCrash) {
       (void)lossy.Rule(r);  // must not crash; errors land in error()
     }
   }
+}
+
+/// Flips bit `bit` of the MSB-first stream that starts at bit `start`.
+void FlipStreamBit(std::vector<uint8_t>* bytes, uint64_t start,
+                   uint64_t bit) {
+  const uint64_t pos = start + bit;
+  (*bytes)[static_cast<size_t>(pos >> 3)] ^=
+      static_cast<uint8_t>(0x80u >> (pos & 7));
+}
+
+TEST(MappedCorruptionTest, FlippedRuleIsRejectedByEveryDecodeEntryPoint) {
+  // One decoder reads every E(R_i) stream, so a rule whose bits are
+  // damaged must be rejected alike by the decode cache, an uncached
+  // decode, Thaw, and DecodePacked over the same grammar's stream.
+  const Synopsis s = MappedFixtureSynopsis();
+  const std::vector<uint8_t> pristine = BuildMappedImage(s);
+  MappedImageHeader h;
+  std::memcpy(&h, pristine.data(), sizeof(h));
+  Result<std::unique_ptr<MappedSynopsis>> base =
+      MappedSynopsis::FromBuffer(pristine);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const MappedSynopsis::Layer& layer = base.value()->lossy_layer();
+  const SltGrammar& g = s.lossy();
+  ASSERT_EQ(layer.rule_count(), g.rule_count());
+
+  // DecodePacked's buffer: the header EncodePacked writes, then every
+  // rule's stream unaligned; `starts[i]` is rule i's first bit there.
+  const std::vector<uint8_t> packed = EncodePacked(g, h.label_count);
+  BitWriter header;
+  header.WriteVarint(static_cast<uint64_t>(h.label_count));
+  header.WriteVarint(static_cast<uint64_t>(g.rule_count()));
+  header.WriteVarint(static_cast<uint64_t>(g.star_stats().size()));
+  for (const StarStats& st : g.star_stats()) {
+    header.WriteVarint(static_cast<uint64_t>(st.height));
+    header.WriteVarint(static_cast<uint64_t>(st.size));
+  }
+  std::vector<uint64_t> starts;
+  std::vector<int32_t> ranks;
+  uint64_t next = static_cast<uint64_t>(header.bit_count());
+  for (int32_t i = 0; i < g.rule_count(); ++i) {
+    starts.push_back(next);
+    ranks.push_back(g.rule(i).rank);
+    next += layer.rule_bit_len(i);
+  }
+  ASSERT_EQ((next + 7) / 8, packed.size());
+
+  Rng rng(4242);
+  int mapped_rejected = 0;
+  int stream_rejected = 0;
+  constexpr int kTrials = 120;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int32_t rule =
+        static_cast<int32_t>(rng.Uniform(0, g.rule_count() - 1));
+    const uint32_t bits = layer.rule_bit_len(rule);
+    std::vector<uint8_t> image = pristine;
+    std::vector<uint8_t> stream = packed;
+    const int64_t flips = rng.Uniform(1, 3);
+    for (int64_t f = 0; f < flips; ++f) {
+      const uint64_t bit = static_cast<uint64_t>(rng.Uniform(0, bits - 1));
+      FlipStreamBit(&image,
+                    8 * (h.section_offset[kSecPayload1] +
+                         layer.rule_offset(rule)),
+                    bit);
+      FlipStreamBit(&stream, starts[static_cast<size_t>(rule)], bit);
+    }
+
+    // The mapped image: cache, uncached decode and Thaw agree.
+    Result<std::unique_ptr<MappedSynopsis>> opened =
+        MappedSynopsis::FromBuffer(std::move(image));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const MappedSynopsis::Layer& damaged = opened.value()->lossy_layer();
+    FlatRuleData flat;
+    const Status uncached = damaged.DecodeRuleFlat(rule, &flat);
+    const RuleEvalData cached = damaged.Rule(rule);
+    EXPECT_EQ(cached.valid, uncached.ok()) << "trial " << trial;
+    if (!uncached.ok()) {
+      ++mapped_rejected;
+      EXPECT_EQ(uncached.code(), StatusCode::kCorruption);
+      EXPECT_EQ(damaged.error().code(), StatusCode::kCorruption);
+      EXPECT_EQ(opened.value()->Thaw().status().code(),
+                StatusCode::kCorruption)
+          << "trial " << trial;
+    }
+
+    // The concatenated stream carries no directory, so DecodePacked sees
+    // only what the walker itself rejects. It reaches `rule` with every
+    // earlier rule intact and walks the same bits: wherever that walk
+    // rejects them, DecodePacked must too, and so must the mapped decode
+    // (same bits behind a tighter, directory-checked bound).
+    BitReader reader(stream);
+    for (uint64_t skip = starts[static_cast<size_t>(rule)]; skip > 0;) {
+      const int chunk = static_cast<int>(std::min<uint64_t>(skip, 64));
+      ASSERT_TRUE(reader.ReadBits(chunk).ok());
+      skip -= static_cast<uint64_t>(chunk);
+    }
+    PackedDecodeScratch scratch;
+    FlatRuleData walked;
+    const Status walk = DecodePackedRule(
+        &reader, rule, h.label_count,
+        static_cast<int64_t>(g.star_stats().size()), ranks, &scratch,
+        &walked);
+    if (walk.ok()) continue;
+    ++stream_rejected;
+    EXPECT_FALSE(uncached.ok()) << "trial " << trial << ": "
+                                << walk.ToString();
+    EXPECT_EQ(DecodePacked(stream).status().code(), StatusCode::kCorruption)
+        << "trial " << trial << ": " << walk.ToString();
+  }
+  // Most random flips break a stream; the properties above must not
+  // hold vacuously.
+  EXPECT_GT(mapped_rejected, kTrials / 2);
+  EXPECT_GT(stream_rejected, kTrials / 4);
 }
 
 TEST(MappedCorruptionTest, HeaderCountMutationsAreRejected) {

@@ -314,8 +314,8 @@ struct KernelFixture {
 TEST(VerifyKernelTest, DetectsRegistryPoolCorruption) {
   KernelFixture f;
   ASSERT_TRUE(f.cq.ok());
-  GrammarEvaluator eval(&f.synopsis.lossy(), &f.cq.value(),
-                        &f.synopsis.label_maps(), BoundMode::kLower, nullptr);
+  GrammarEvaluator eval(&f.synopsis.eval_cache(), &f.cq.value(),
+                        &f.synopsis.label_maps(), BoundMode::kLower);
   eval.Evaluate();
   ASSERT_TRUE(VerifyStateRegistry(eval.registry(), &f.cq.value()).ok());
   ASSERT_GT(eval.registry().pool_pairs(), 0);
@@ -330,8 +330,8 @@ TEST(VerifyKernelTest, DetectsRegistryPoolCorruption) {
 TEST(VerifyKernelTest, DetectsDenseWordCorruption) {
   KernelFixture f;
   ASSERT_TRUE(f.cq.ok());
-  GrammarEvaluator eval(&f.synopsis.lossy(), &f.cq.value(),
-                        &f.synopsis.label_maps(), BoundMode::kLower, nullptr);
+  GrammarEvaluator eval(&f.synopsis.eval_cache(), &f.cq.value(),
+                        &f.synopsis.label_maps(), BoundMode::kLower);
   eval.Evaluate();
   ASSERT_TRUE(eval.registry().dense());
   ASSERT_TRUE(VerifyStateRegistry(eval.registry(), &f.cq.value()).ok());
@@ -346,8 +346,8 @@ TEST(VerifyKernelTest, DetectsDenseWordCorruption) {
 TEST(VerifyKernelTest, DetectsSigmaMemoKeyCorruption) {
   KernelFixture f;
   ASSERT_TRUE(f.cq.ok());
-  GrammarEvaluator eval(&f.synopsis.lossy(), &f.cq.value(),
-                        &f.synopsis.label_maps(), BoundMode::kLower, nullptr);
+  GrammarEvaluator eval(&f.synopsis.eval_cache(), &f.cq.value(),
+                        &f.synopsis.label_maps(), BoundMode::kLower);
   eval.Evaluate();
   ASSERT_TRUE(VerifySigmaMemo(eval.memo(), f.synopsis.lossy(),
                               eval.registry(), &f.cq.value())
