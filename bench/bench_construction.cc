@@ -4,8 +4,9 @@
 // Construction throughput (§8.3): text → synopsis, measured per stage
 // (parse, DAG, BPLEX, label maps, lossy, analysis) for both the DOM
 // pipeline and the fused streaming front end, on XMark at several
-// scales. Emits the machine-readable `construction` JSON section that
-// BENCH_throughput.json tracks across PRs:
+// scales, plus a κ sweep of the lossy pass (κ = 0, 10%, 50%, 90% of the
+// lossless rules) on the largest scale. Writes the machine-readable
+// `construction` JSON that is committed as BENCH_construction.json:
 //
 //   ./bench_construction [--smoke] [output.json]
 //                                  (default BENCH_construction.json)
@@ -22,8 +23,11 @@
 //
 // --smoke runs a tiny dataset, asserts every per-stage field is
 // populated and the streamed synopsis is byte-identical to and verifies
-// like the DOM-built one, then writes the same JSON shape. CI runs this.
+// like the DOM-built one, then writes the same JSON shape; its κ sweep
+// runs on XMark 20k so that the 90%/10% lossy-time ratio it reports
+// separates an O(|G| log |G|) pass from an O(κ·|G|) one. CI runs this.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -210,6 +214,53 @@ void WriteRunJson(FILE* f, const RunResult& r, double baseline_ms,
       baseline_ms > 0 ? baseline_ms / r.total_ms : 0.0, last ? "" : ",");
 }
 
+/// One κ of the lossy-pass sweep: `Synopsis::RecomputeLossy` timed by
+/// its own ConstructionStats (`lossy_ms`, the same field as the per-stage
+/// runs; at κ = 0 it is the copy of the lossless grammar).
+struct KappaRow {
+  double fraction = 0;
+  int32_t kappa = 0;
+  int32_t deleted = 0;
+  int32_t serving_rules = 0;
+  double lossy_ms = 0;  // median over the repetitions
+  double lossy_ms_q1 = 0;
+  double lossy_ms_q3 = 0;
+};
+
+std::vector<KappaRow> MeasureKappaSweep(const std::string& xml, int reps,
+                                        int32_t* lossless_rules) {
+  Result<Synopsis> built = Synopsis::BuildStreaming(xml, SynopsisOptions());
+  XMLSEL_CHECK(built.ok());
+  Synopsis& s = built.value();
+  *lossless_rules = s.lossless().rule_count();
+  std::vector<KappaRow> rows;
+  for (double fraction : {0.0, 0.1, 0.5, 0.9}) {
+    KappaRow row;
+    row.fraction = fraction;
+    row.kappa = static_cast<int32_t>(fraction * *lossless_rules);
+    std::vector<double> ms;
+    for (int rep = 0; rep < reps; ++rep) {
+      ConstructionStats stats;
+      s.RecomputeLossy(row.kappa, &stats);
+      ms.push_back(stats.lossy_seconds * 1e3);
+    }
+    std::sort(ms.begin(), ms.end());
+    const size_t n = ms.size();
+    row.lossy_ms = ms[n / 2];
+    row.lossy_ms_q1 = ms[n / 4];
+    row.lossy_ms_q3 = ms[(3 * n) / 4];
+    row.deleted = s.deleted_productions();
+    row.serving_rules = s.lossy().rule_count();
+    std::printf(
+        "kappa sweep: %3.0f%% kappa %6d deleted %6d serving rules %6d "
+        "lossy %8.3fms [q1 %.3f, q3 %.3f]\n",
+        fraction * 100, row.kappa, row.deleted, row.serving_rules,
+        row.lossy_ms, row.lossy_ms_q1, row.lossy_ms_q3);
+    rows.push_back(row);
+  }
+  return rows;
+}
+
 /// Asserts the streaming path is byte-identical to the DOM path and
 /// passes the full synopsis verification — run in smoke mode and once
 /// per full run on the largest scale.
@@ -256,6 +307,15 @@ int Run(bool smoke, const char* out_path) {
     if (smoke || n == scales.back()) CheckStreamingIdentity(xml, opts);
   }
 
+  // κ sweep of the lossy pass on the largest scale (XMark 20k in smoke
+  // mode: 500 elements leave too few rules for the ratio to mean much).
+  const int64_t sweep_elements = smoke ? 20000 : scales.back();
+  int32_t sweep_rules = 0;
+  const int sweep_reps = 5;
+  std::vector<KappaRow> sweep = MeasureKappaSweep(
+      WriteXml(GenerateDataset(DatasetId::kXmark, sweep_elements, 3)),
+      sweep_reps, &sweep_rules);
+
   if (smoke) {
     // Every per-stage field the CI job greps for must be populated.
     const RunResult& dom = runs[0];
@@ -291,7 +351,7 @@ int Run(bool smoke, const char* out_path) {
   bool foreign_baseline =
       bench::WarnIfForeignBaseline(kBaselineHostHash, "construction");
 
-  // --- JSON: the `construction` section tracked in BENCH_throughput.json.
+  // --- JSON: the `construction` object committed as BENCH_construction.json.
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"construction\": {\n");
   bench::WriteHostFingerprintJson(f, "    ",
@@ -324,7 +384,26 @@ int Run(bool smoke, const char* out_path) {
     WriteRunJson(f, runs[i], BaselineTotalMs(runs[i].scale),
                  i + 1 == runs.size());
   }
-  std::fprintf(f, "    ]\n");
+  std::fprintf(f, "    ],\n");
+  std::fprintf(f, "    \"kappa_sweep\": {\n");
+  std::fprintf(f, "      \"elements\": %lld, \"lossless_rules\": %d, "
+               "\"reps\": %d,\n",
+               static_cast<long long>(sweep_elements), sweep_rules,
+               sweep_reps);
+  std::fprintf(f, "      \"rows\": [\n");
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const KappaRow& k = sweep[i];
+    std::fprintf(f,
+                 "        {\"kappa_fraction\": %.2f, \"kappa\": %d, "
+                 "\"deleted\": %d, \"serving_rules\": %d, "
+                 "\"lossy_ms\": %.3f, \"lossy_ms_q1\": %.3f, "
+                 "\"lossy_ms_q3\": %.3f}%s\n",
+                 k.fraction, k.kappa, k.deleted, k.serving_rules, k.lossy_ms,
+                 k.lossy_ms_q1, k.lossy_ms_q3,
+                 i + 1 < sweep.size() ? "," : "");
+  }
+  std::fprintf(f, "      ]\n");
+  std::fprintf(f, "    }\n");
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);

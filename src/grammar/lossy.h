@@ -32,9 +32,12 @@ struct LossyGrammar {
   int32_t deleted = 0;
 };
 
-/// Deletes (up to) `kappa` lowest-multiplicity productions. `lossless`
-/// must be a normalized, star-free grammar. Multiplicities are recomputed
-/// after every deletion, matching the iterative process of §4.2.
+/// Deletes (up to) `kappa` lowest-multiplicity productions, ties to the
+/// lowest rule index. `lossless` must be star-free. Multiplicities are
+/// kept exact incrementally after every deletion, so the victims are the
+/// same as recomputing them each round (the iterative process of §4.2).
+/// A deletion touches only the victim's call sites and the live rules
+/// below it in the call DAG.
 LossyGrammar MakeLossy(const SltGrammar& lossless, int32_t kappa);
 
 /// Label adjacency maps of a document, used to prune the set of trees a

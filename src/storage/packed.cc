@@ -3,6 +3,8 @@
 
 #include "storage/packed.h"
 
+#include <string>
+
 #include "storage/bitio.h"
 #include "storage/packed_cursor.h"
 #include "verify/verify.h"
@@ -130,6 +132,20 @@ Result<SltGrammar> DecodePacked(const std::vector<uint8_t>& bytes) {
         static_cast<int64_t>(star_count.value()), ranks, &scratch, &flat));
     ranks.push_back(flat.rank);
     g.AddRule(RuleFromFlat(flat));
+  }
+  // The last rule must end inside the final byte, followed only by the
+  // zero padding Finish() writes; otherwise some rule read a different
+  // number of bits than it was written with.
+  const int64_t end = r.position();
+  if ((end + 7) / 8 != static_cast<int64_t>(bytes.size())) {
+    return Status::Corruption("packed stream has " +
+                              std::to_string(bytes.size()) +
+                              " bytes, rules end at bit " +
+                              std::to_string(end));
+  }
+  if (end % 8 != 0 &&
+      (bytes.back() & (0xffu >> static_cast<unsigned>(end % 8))) != 0) {
+    return Status::Corruption("packed stream has nonzero padding bits");
   }
   // Every structural invariant is enforced during decoding except the
   // start rule's rank; check it gracefully (fuzzed input must yield

@@ -3,16 +3,25 @@
 //
 // Tests for SLT grammars: representation, DAG sharing, BPLEX compression
 // (expansion must reproduce the document exactly), analysis statistics,
-// and the paper's §4 worked examples.
+// the paper's §4 worked examples, and κ-lossy construction against the
+// literal round-by-round oracle (tests/lossy_oracle.h).
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "data/generator.h"
+#include "estimator/update.h"
 #include "grammar/analysis.h"
 #include "grammar/bplex.h"
 #include "grammar/dag.h"
+#include "grammar/lossy.h"
 #include "grammar/slt.h"
+#include "tests/lossy_oracle.h"
 #include "tests/test_util.h"
+#include "verify/verify.h"
+#include "xml/binary_tree.h"
 #include "xml/parser.h"
 
 namespace xmlsel {
@@ -227,6 +236,112 @@ TEST(NormalizedCopyTest, DropsUnreachableRules) {
   }
   SltGrammar n = NormalizedCopy(g);
   EXPECT_EQ(n.rule_count(), 1);
+}
+
+/// MakeLossy must return exactly the oracle's grammar: same rules, same
+/// arenas node for node, same star table, same deletion count.
+void ExpectSameAsOracle(const SltGrammar& lossless, int32_t kappa) {
+  SCOPED_TRACE("kappa " + std::to_string(kappa));
+  LossyGrammar got = MakeLossy(lossless, kappa);
+  LossyGrammar want = testing_util::MakeLossyOracle(lossless, kappa);
+  Status cmp = CompareGrammars(got.grammar, want.grammar);
+  ASSERT_TRUE(cmp.ok()) << cmp.ToString();
+  EXPECT_EQ(got.grammar.star_stats(), want.grammar.star_stats());
+  EXPECT_EQ(got.deleted, want.deleted);
+  for (int32_t i = 0; i < want.grammar.rule_count(); ++i) {
+    const GrammarRule& a = got.grammar.rule(i);
+    const GrammarRule& b = want.grammar.rule(i);
+    ASSERT_EQ(a.root, b.root) << "rule " << i;
+    ASSERT_EQ(a.nodes.size(), b.nodes.size()) << "rule " << i;
+    for (size_t id = 0; id < a.nodes.size(); ++id) {
+      ASSERT_TRUE(a.nodes[id].kind == b.nodes[id].kind &&
+                  a.nodes[id].sym == b.nodes[id].sym &&
+                  a.nodes[id].children == b.nodes[id].children)
+          << "rule " << i << " node " << id;
+    }
+  }
+}
+
+/// κ ∈ {1, 10%, 50%, 90%, rules − 1, unbounded} of the lossless rules.
+std::vector<int32_t> KappaSweep(const SltGrammar& lossless) {
+  const int32_t rules = lossless.rule_count();
+  return {1, rules / 10, rules / 2, rules * 9 / 10, rules - 1, 1 << 20};
+}
+
+TEST(LossyOracleTest, MatchesRoundLoopOnDatasets) {
+  for (DatasetId id : {DatasetId::kXmark, DatasetId::kDblp,
+                       DatasetId::kSwissProt, DatasetId::kPsd,
+                       DatasetId::kCatalog}) {
+    for (uint64_t seed : {1u, 7u}) {
+      SCOPED_TRACE(std::string(DatasetName(id)) + " seed " +
+                   std::to_string(seed));
+      SltGrammar lossless = BplexCompress(GenerateDataset(id, 4000, seed));
+      ASSERT_GT(lossless.rule_count(), 10);
+      for (int32_t kappa : KappaSweep(lossless)) {
+        ExpectSameAsOracle(lossless, kappa);
+      }
+    }
+  }
+}
+
+/// `g` plus what long-lived grammars accumulate: a dead arena node in
+/// every rule that calls rule 0, and an unreachable rule that calls the
+/// rule below the start rule.
+SltGrammar WithDeadParts(const SltGrammar& g) {
+  SltGrammar out;
+  const int32_t start = g.start_rule();
+  const std::vector<int32_t> nulls0(
+      static_cast<size_t>(g.rule(0).rank), kNullNode);
+  for (int32_t i = 0; i < start; ++i) {
+    GrammarRule r = g.rule(i);
+    if (i > 0) RhsBuilder(&r).Nonterminal(0, nulls0);
+    out.AddRule(std::move(r));
+  }
+  GrammarRule dead;
+  RhsBuilder b(&dead);
+  b.SetRoot(b.Nonterminal(
+      start - 1, std::vector<int32_t>(
+                     static_cast<size_t>(g.rule(start - 1).rank), kNullNode)));
+  out.AddRule(std::move(dead));
+  out.AddRule(g.rule(start));  // calls only rules below `start`
+  return out;
+}
+
+TEST(LossyOracleTest, MatchesRoundLoopAfterUpdates) {
+  // Grammars after random §6 inserts and deletes, which re-compress the
+  // start rule with BPLEX. ApplyUpdateToGrammar returns a normalized
+  // grammar, so dead nodes and an unreachable rule are added on top:
+  // both constructions must start from the same NormalizedCopy.
+  for (uint64_t seed : {3u, 11u, 29u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Document doc = GenerateDataset(DatasetId::kXmark, 1500, seed);
+    SltGrammar g = BplexCompress(doc);
+    NameTable names = doc.names();
+    for (int step = 0; step < 4; ++step) {
+      Document current = g.Expand(names);
+      std::vector<NodeId> nodes =
+          current.SubtreeNodes(current.virtual_root());
+      NodeId target = nodes[static_cast<size_t>(
+          rng.Uniform(2, static_cast<int64_t>(nodes.size()) - 1))];
+      BinddPath path = BinddOf(current, target);
+      int64_t kind = rng.Uniform(0, 2);
+      UpdateOp op = UpdateOp::Delete(path);
+      if (kind != 0) {
+        Document tree = testing_util::RandomDocument(&rng, 8, 3, 0.5);
+        op = kind == 1 ? UpdateOp::FirstChild(path, std::move(tree))
+                       : UpdateOp::NextSibling(path, std::move(tree));
+      }
+      Status st = ApplyUpdateToGrammar(&g, &names, op, BplexOptions());
+      ASSERT_TRUE(st.ok()) << st.ToString();
+    }
+    for (int32_t kappa : KappaSweep(g)) ExpectSameAsOracle(g, kappa);
+    SltGrammar messy = WithDeadParts(g);
+    ASSERT_GT(messy.NodeCount(), NormalizedCopy(messy).NodeCount());
+    for (int32_t kappa : KappaSweep(messy)) {
+      ExpectSameAsOracle(messy, kappa);
+    }
+  }
 }
 
 }  // namespace
