@@ -510,7 +510,7 @@ int Run(bool smoke, const char* out_path) {
   }
   std::printf(
       "  cold-start-to-first-query speedup: %.1fx vs eager thaw, "
-      "%.1fx vs rebuild-from-XML (target >= 10x on the full fixture)\n"
+      "%.1fx vs rebuild-from-XML\n"
       "  queries until eager parity: %.0f\n",
       cold_start_speedup, speedup_vs_build, parity);
 

@@ -129,13 +129,24 @@ XMLSEL_HOT bool GrammarEvaluator::PushTask(int32_t memo_id,
   if (live_tasks_ == tasks_.size()) tasks_.emplace_back();
   Task& t = tasks_[live_tasks_++];
   t.memo_id = memo_id;
-  t.rule = key[0];
   t.data = d;
-  size_t nodes = d.nodes.size();
-  // xmlsel-lint: allow(hot-alloc): slot grows to the widest rule once
-  if (t.value.size() < nodes) t.value.resize(nodes);
   t.next = 0;
+  t.base = height_;
   return true;
+}
+
+XMLSEL_HOT GrammarEvaluator::Ann& GrammarEvaluator::FreeSlot() {
+  if (height_ == stack_.size()) {
+    // xmlsel-lint: allow(hot-alloc): stack doubles to peak depth once
+    stack_.resize(std::max<size_t>(16, 2 * stack_.size()));
+    ++HotLoopHeapAllocs();
+  }
+  return stack_[height_];
+}
+
+XMLSEL_HOT void GrammarEvaluator::Reduce(size_t k) {
+  if (k > 0) std::swap(stack_[height_ - k], stack_[height_]);
+  height_ = height_ - k + 1;
 }
 
 XMLSEL_HOT GrammarEvalResult GrammarEvaluator::Evaluate() {
@@ -157,10 +168,14 @@ XMLSEL_HOT GrammarEvalResult GrammarEvaluator::Evaluate() {
     key_scratch_.push_back(src_->start_rule());
     bool inserted = false;
     int32_t root_id = memo_.InternKey(key_scratch_, &inserted);
-    // Iterative evaluation: a stack of pooled rule-evaluation tasks. Each
-    // task walks its RHS in post-order; when it reaches an unmemoized
-    // nonterminal call it pushes a sub-task and retries the node later.
-    // A warm memo (re-run on the same evaluator) skips the stack wholly.
+    // Iterative evaluation: a stack of pooled rule-evaluation tasks over
+    // one operand stack. Each task walks its RHS in post-order, so a
+    // node's non-⊥ children are the top operands when it is visited; the
+    // node replaces them by its own state. At an unmemoized nonterminal
+    // call the task leaves the call's operands in place, pushes a sub-task
+    // above them, and retries the node once the sub-task has filled the
+    // memo. A warm memo (re-run on the same evaluator) skips the stack
+    // wholly.
     if (!memo_.sigma(root_id).ready &&
         !PushTask(root_id, memo_.key(root_id))) {
       provider_failed = true;
@@ -169,16 +184,18 @@ XMLSEL_HOT GrammarEvalResult GrammarEvaluator::Evaluate() {
       Task& t = tasks_[live_tasks_ - 1];
       const RuleEvalData& r = t.data;
       if (t.next == r.post_order.size()) {
-        // Rule done: record σ and retire the task (its slots persist).
+        // Rule done: move the root's state into σ and pop to the base.
         Sigma& sigma = memo_.sigma(t.memo_id);
         if (r.root != kNullNode) {
-          Ann& root = t.value[static_cast<size_t>(r.root)];
+          XMLSEL_DCHECK(height_ == t.base + 1);
+          Ann& root = stack_[t.base];
           sigma.state = root.state;
           sigma.counts = std::move(root.counts);
         } else {
           sigma.state = reg_.empty_state();
           sigma.counts.clear();
         }
+        height_ = t.base;
         sigma.ready = true;
         ++result.sigma_entries;
         --live_tasks_;
@@ -186,86 +203,80 @@ XMLSEL_HOT GrammarEvalResult GrammarEvaluator::Evaluate() {
       }
       int32_t id = r.post_order[t.next];
       const RuleNodeView& n = r.nodes[static_cast<size_t>(id)];
-      auto child_ann = [&](int32_t c) -> const Ann& {
-        if (c == kNullNode) return kEmpty;
-        return t.value[static_cast<size_t>(c)];
-      };
+      std::span<const int32_t> kids = r.children_of(id);
+      // Reserve the result slot before taking operand references.
+      Ann& out = FreeSlot();
+      // The node's operands: its non-⊥ children are the top k entries, in
+      // child order; ⊥ reads the static empty state.
+      size_t k = 0;
+      for (int32_t c : kids) k += c != kNullNode ? 1 : 0;
+      args_scratch_.clear();
+      for (size_t i = 0, pos = height_ - k; i < kids.size(); ++i) {
+        // xmlsel-lint: allow(hot-alloc): retained scratch, capacity kept
+        args_scratch_.push_back(kids[i] == kNullNode ? &kEmpty
+                                                     : &stack_[pos++]);
+      }
       switch (n.kind) {
         case GrammarNode::Kind::kParam: {
           // The parameter's state is given by the memo key; its counters
           // are the symbolic variables X(param, pair).
-          Ann& a = t.value[static_cast<size_t>(id)];
-          a.state = memo_.key(t.memo_id)[static_cast<size_t>(n.sym) + 1];
-          a.counts.clear();
-          for (QPair pr : reg_.pairs(a.state)) {
+          out.state = memo_.key(t.memo_id)[static_cast<size_t>(n.sym) + 1];
+          out.counts.clear();
+          for (QPair pr : reg_.pairs(out.state)) {
             // xmlsel-lint: allow(hot-alloc): pooled slot, counted by probe
-            a.counts.push_back(LinearForm::Var(n.sym, pr));
+            out.counts.push_back(LinearForm::Var(n.sym, pr));
           }
-          ++t.next;
           break;
         }
-        case GrammarNode::Kind::kTerminal: {
-          std::span<const int32_t> kids = r.children_of(id);
+        case GrammarNode::Kind::kTerminal:
           CountingTransitionInto<LinearOps>(
-              *cq_, &reg_, child_ann(kids[0]), child_ann(kids[1]),
-              n.sym, /*dedup=*/mode_ == BoundMode::kLower, &scratch_,
-              &t.value[static_cast<size_t>(id)]);
-          ++t.next;
+              *cq_, &reg_, *args_scratch_[0], *args_scratch_[1], n.sym,
+              /*dedup=*/mode_ == BoundMode::kLower, &scratch_, &out);
           break;
-        }
-        case GrammarNode::Kind::kStar: {
-          args_scratch_.clear();
-          for (int32_t c : r.children_of(id)) {
-            // xmlsel-lint: allow(hot-alloc): retained scratch, capacity kept
-            args_scratch_.push_back(&child_ann(c));
-          }
+        case GrammarNode::Kind::kStar:
           if (mode_ == BoundMode::kLower) {
-            star_.Lower(args_scratch_, &t.value[static_cast<size_t>(id)]);
+            star_.Lower(args_scratch_, &out);
           } else {
             star_.Upper(args_scratch_,
                         src_->star_stats()[static_cast<size_t>(n.sym)],
-                        r.star_roots_of(id), &t.value[static_cast<size_t>(id)]);
+                        r.star_roots_of(id), &out);
           }
-          ++t.next;
           break;
-        }
         case GrammarNode::Kind::kNonterminal: {
           key_scratch_.clear();
           // xmlsel-lint: allow(hot-alloc): retained scratch, capacity kept
           key_scratch_.push_back(n.sym);
-          args_scratch_.clear();
-          for (int32_t c : r.children_of(id)) {
-            const Ann& a = child_ann(c);
+          for (const Ann* a : args_scratch_) {
             // xmlsel-lint: allow(hot-alloc): retained scratch, capacity kept
-            args_scratch_.push_back(&a);
-            // xmlsel-lint: allow(hot-alloc): retained scratch, capacity kept
-            key_scratch_.push_back(a.state);
+            key_scratch_.push_back(a->state);
           }
           int32_t mid = memo_.InternKey(key_scratch_, &inserted);
           if (!memo_.sigma(mid).ready) {
             if (!PushTask(mid, memo_.key(mid))) provider_failed = true;
-            // Retry this node once the sub-task has filled the memo.
-            // (PushTask may have moved the task pool — touch nothing.)
-            break;
+            // Retry this node once the sub-task has filled the memo; its
+            // operands stay below the sub-task's base. (PushTask may have
+            // moved the task pool — touch nothing.)
+            continue;
           }
           const Sigma& sigma = memo_.sigma(mid);
-          Ann& a = t.value[static_cast<size_t>(id)];
-          a.state = sigma.state;
-          a.counts.clear();
+          out.state = sigma.state;
+          out.counts.clear();
           for (const LinearForm& f : sigma.counts) {
             // xmlsel-lint: allow(hot-alloc): pooled slot, counted by probe
-            a.counts.push_back(Substitute(f, args_scratch_, reg_));
+            out.counts.push_back(Substitute(f, args_scratch_, reg_));
           }
-          ++t.next;
           break;
         }
       }
+      Reduce(k);
+      ++t.next;
     }
     if (provider_failed) {
-      // Abandon the stack (retired tasks leave not-ready memo entries; a
+      // Abandon both stacks (retired tasks leave not-ready memo entries; a
       // later Evaluate() on this evaluator simply re-pushes them) and
       // surface the provider's diagnostic instead of a bogus count.
       live_tasks_ = 0;
+      height_ = 0;
       result.status = src_->error();
       if (result.status.ok()) {
         result.status = Status::Corruption("rule provider failed");

@@ -10,8 +10,9 @@
 //
 // Kernel layout (see DESIGN.md "Evaluation kernel"): the σ-memo is a flat
 // open-addressed table whose variable-length keys live in the evaluator's
-// bump arena; rule-evaluation tasks and all transition scratch are pooled
-// and reused, so the steady-state σ path performs no heap allocation.
+// bump arena; rule-evaluation tasks, one operand stack shared by all
+// tasks, and all transition scratch are pooled and reused, so the
+// steady-state σ path performs no heap allocation.
 
 #ifndef XMLSEL_AUTOMATON_GRAMMAR_EVAL_H_
 #define XMLSEL_AUTOMATON_GRAMMAR_EVAL_H_
@@ -171,21 +172,31 @@ class GrammarEvaluator {
   using Ann = AnnState<LinearForm>;
 
   /// One rule-evaluation task. Tasks are pooled: popping retires the
-  /// task object, whose per-node Ann slots (and their counts capacity)
-  /// are reused by the next push. The rule's flat view is resolved once
-  /// at push time (one provider lookup per task, not per node visit).
+  /// task object for reuse by the next push. The rule's flat view is
+  /// resolved once at push time (one provider lookup per task, not per
+  /// node visit). The task's operands live on the evaluator's operand
+  /// stack from `base` up.
   struct Task {
     int32_t memo_id = -1;              // σ entry this task will fill
-    int32_t rule = -1;
     RuleEvalData data;                 // flat spans into provider storage
-    size_t next = 0;
-    std::vector<Ann> value;            // per RHS node (indexed by id)
+    size_t next = 0;                   // position in data.post_order
+    size_t base = 0;                   // operand-stack height at push
   };
 
   /// Pushes a (pooled) task for the memo entry `memo_id`. Returns false
   /// when the provider could not produce the rule (lazy decode failure);
   /// the evaluation must then abort.
   bool PushTask(int32_t memo_id, std::span<const int32_t> key);
+
+  /// The free slot just above the operand stack's top, growing the stack
+  /// first — so operand references taken after this call stay valid
+  /// while the node's result is written into the slot.
+  Ann& FreeSlot();
+
+  /// Lands the result written into FreeSlot() in place of the top `k`
+  /// operands (swapped down, so the first operand's counts capacity moves
+  /// up to be reused by the next free slot).
+  void Reduce(size_t k);
 
   const RuleProvider* src_;
   const CompiledQuery* cq_;
@@ -198,6 +209,11 @@ class GrammarEvaluator {
   TransitionScratch<LinearForm> scratch_;
   std::vector<Task> tasks_;          // task stack; retired slots reused
   size_t live_tasks_ = 0;
+  // Operand stack of the post-order walk: every evaluated RHS node leaves
+  // its state here until its parent consumes it. Slots above `height_`
+  // keep their counts capacity for the next push.
+  std::vector<Ann> stack_;
+  size_t height_ = 0;
   std::vector<int32_t> key_scratch_;
   std::vector<const Ann*> args_scratch_;
   Ann top_scratch_;                  // start-rule state for the final step

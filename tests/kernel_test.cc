@@ -11,7 +11,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <iterator>
 #include <map>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -627,6 +631,100 @@ TEST(KernelTest, CountersSeparateColdFromWarm) {
   // The state space did not grow on the warm pass.
   EXPECT_EQ(warm.pool_pairs, cold.pool_pairs);
   EXPECT_EQ(warm.distinct_states, cold.distinct_states);
+}
+
+// --------------------------------------------------------------------
+// Pinned kernel trace
+
+/// The kernel-counter trace of one fresh evaluation.
+struct KernelTrace {
+  int64_t count;
+  int64_t sigma_entries;
+  int64_t distinct_states;
+  int64_t memo_probes;
+  int64_t memo_hits;
+  int64_t intern_probes;
+  int64_t intern_hits;
+  int64_t pool_pairs;
+
+  bool operator==(const KernelTrace&) const = default;
+};
+
+std::string TraceRow(const KernelTrace& t) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{%lld, %lld, %lld, %lld, %lld, %lld, %lld, %lld}",
+                static_cast<long long>(t.count),
+                static_cast<long long>(t.sigma_entries),
+                static_cast<long long>(t.distinct_states),
+                static_cast<long long>(t.memo_probes),
+                static_cast<long long>(t.memo_hits),
+                static_cast<long long>(t.intern_probes),
+                static_cast<long long>(t.intern_hits),
+                static_cast<long long>(t.pool_pairs));
+  return buf;
+}
+
+// The walk order (post-order per rule, σ keys interned at first call) and
+// the intern order of states are part of the kernel's contract: state
+// ids, memo ids and every counter below follow from them. These traces
+// were recorded before the operand-stack walk replaced per-node value
+// slots and must not move with changes to the kernel's storage.
+TEST(KernelTest, PinnedTraceOnXmark) {
+  Document doc = GenerateDataset(DatasetId::kXmark, 4000, 7);
+  SynopsisOptions sopts;
+  sopts.kappa = 40;
+  Synopsis synopsis = Synopsis::Build(doc, sopts);
+  NameTable names = synopsis.names();
+  const char* kQueries[] = {
+      "//item[./mailbox]//keyword",       "//person//name",
+      "//open_auction[./bidder]//increase", "/site/regions//item/name",
+      "//category//text",                 "//person[./address]/emailaddress",
+      "//closed_auction//*",              "//description//keyword",
+  };
+  // {count, sigma_entries, distinct_states, memo_probes, memo_hits,
+  //  intern_probes, intern_hits, pool_pairs}, lower then upper bound.
+  const KernelTrace kPinned[][2] = {
+      {{24, 619, 8, 1878, 1259, 311, 304, 12},
+       {2031, 648, 8, 1934, 1286, 297, 290, 23}},
+      {{36, 473, 6, 1556, 1083, 224, 219, 9},
+       {2216, 537, 6, 1688, 1151, 236, 231, 15}},
+      {{28, 479, 7, 1570, 1091, 226, 220, 11},
+       {2118, 558, 7, 1729, 1171, 254, 248, 22}},
+      {{123, 471, 7, 1552, 1081, 222, 216, 9},
+       {4748, 565, 7, 1745, 1180, 259, 253, 21}},
+      {{10, 515, 6, 1649, 1134, 250, 245, 9},
+       {2604, 589, 6, 1803, 1214, 271, 266, 15}},
+      {{26, 471, 7, 1550, 1079, 222, 216, 8},
+       {1441, 543, 7, 1700, 1157, 240, 234, 16}},
+      {{150, 547, 7, 1715, 1168, 274, 268, 13},
+       {11351, 574, 6, 1762, 1188, 269, 264, 15}},
+      {{42, 582, 6, 1796, 1214, 286, 281, 9},
+       {2120, 593, 6, 1815, 1222, 263, 258, 15}},
+  };
+  ASSERT_EQ(std::size(kPinned), std::size(kQueries));
+  CompiledQueryCache cache;
+  for (size_t qi = 0; qi < std::size(kQueries); ++qi) {
+    Result<Query> q = ParseQuery(kQueries[qi], &names);
+    ASSERT_TRUE(q.ok()) << kQueries[qi];
+    Result<std::shared_ptr<const PreparedQuery>> pq = cache.Prepare(q.value());
+    ASSERT_TRUE(pq.ok()) << kQueries[qi];
+    for (int b = 0; b < 2; ++b) {
+      const BoundMode mode = b == 0 ? BoundMode::kLower : BoundMode::kUpper;
+      const CompiledQuery& cq =
+          b == 0 ? pq.value()->lower : UpperQueryOf(*pq.value());
+      GrammarEvaluator eval(&synopsis.eval_cache(), &cq,
+                            &synopsis.label_maps(), mode);
+      GrammarEvalResult r = eval.Evaluate();
+      ASSERT_TRUE(r.status.ok());
+      KernelTrace got{r.count,         r.sigma_entries, r.distinct_states,
+                      r.memo_probes,   r.memo_hits,     r.intern_probes,
+                      r.intern_hits,   r.pool_pairs};
+      EXPECT_EQ(got, kPinned[qi][b])
+          << kQueries[qi] << (b == 0 ? " lower" : " upper")
+          << ": got " << TraceRow(got);
+    }
+  }
 }
 
 }  // namespace
